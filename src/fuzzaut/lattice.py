@@ -12,12 +12,30 @@ Five structures are supported, all linearly ordered by the rational order:
 Values are `fractions.Fraction` in canonical reduced form, so every
 operation is exact and fixpoint detection can use structural equality.
 No floats appear anywhere.
+
+Bulk computations do not run on `Fraction`s.  `Lattice.encode` builds a
+`Codec` from the union of every value a computation starts from and maps
+those values to levels, which the relation kernel computes on; results are
+decoded once at the end.  The codec families:
+
+    min       boolean, godel: a value's level is its rank among the sorted
+              values and {0, 1}; x*y = min, x->y = top if x<=y else y
+    shift     chain(n) with L = n, lukasiewicz with L = lcm of the
+              denominators: level k stands for k/L;
+              x*y = max(k+l-L, 0), x->y = min(L-k+l, L)
+    product   the identity over `Fraction` (product is not locally finite,
+              so no finite level set exists); exact, with denominator growth
+
+Each family is closed under its operations, so every level that arises
+decodes to the value the `Fraction` operations give.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import attrgetter
 
 from .errors import LatticeValueError
 
@@ -25,6 +43,8 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 KINDS = ("boolean", "godel", "product", "lukasiewicz", "chain")
+
+_NUM_DEN = attrgetter("numerator", "denominator")
 
 
 @dataclass(frozen=True)
@@ -141,6 +161,30 @@ class Lattice:
             raise LatticeValueError(f"value {x} not on the chain({self.n}) grid")
         return int(k)
 
+    # -- levels ------------------------------------------------------------
+
+    def encode(self, *groups) -> tuple["Codec", list[list]]:
+        """A codec for the union of the values in `groups` (sequences of
+        carrier values), and each group as a list of levels.
+
+        Values are keyed by (numerator, denominator): hashing a `Fraction`
+        costs several times more than hashing that pair.
+        """
+        if self.kind == "product":
+            return Codec("product", ZERO, ONE, None), [list(g) for g in groups]
+        keyed = [list(map(_NUM_DEN, g)) for g in groups]
+        if self.kind in ("chain", "lukasiewicz"):
+            top = self.n if self.kind == "chain" else lcm(*{d for keys in keyed for _, d in keys})
+            codec = Codec("shift", 0, top, _ShiftValues(top))
+            return codec, [[num * (top // den) for num, den in keys] for keys in keyed]
+        distinct = {(0, 1), (1, 1)}
+        for keys in keyed:
+            distinct.update(keys)
+        ordered = sorted((Fraction(num, den), (num, den)) for num, den in distinct)
+        rank = {key: i for i, (_, key) in enumerate(ordered)}
+        codec = Codec("min", 0, len(ordered) - 1, [x for x, _ in ordered])
+        return codec, [list(map(rank.__getitem__, keys)) for keys in keyed]
+
     # -- text syntax -------------------------------------------------------
 
     def parse(self, text: str) -> Fraction:
@@ -157,3 +201,58 @@ class Lattice:
 
     def describe(self) -> str:
         return f"chain({self.n})" if self.kind == "chain" else self.kind
+
+
+class _ShiftValues(dict):
+    """level -> Fraction(level, L), built on first use: L can be large, and
+    only the levels a result holds are ever decoded."""
+
+    def __init__(self, top: int):
+        super().__init__()
+        self.top = top
+
+    def __missing__(self, level: int) -> Fraction:
+        x = self[level] = Fraction(level, self.top)
+        return x
+
+
+class Codec:
+    """The levels of one computation (see the module docstring).
+
+    `zero` and `top` are the levels of 0 and 1.  The scalar operations
+    below state each family's formulas; the relation kernel inlines them
+    over whole rows and columns.
+    """
+
+    __slots__ = ("family", "zero", "top", "_values")
+
+    def __init__(self, family: str, zero, top, values):
+        self.family = family
+        self.zero = zero
+        self.top = top
+        self._values = values
+
+    def decode(self, levels) -> tuple[Fraction, ...]:
+        if self.family == "product":
+            return tuple(levels)
+        return tuple(map(self._values.__getitem__, levels))
+
+    def otimes(self, k, l):
+        if self.family == "min":
+            return k if k <= l else l
+        if self.family == "shift":
+            z = k + l - self.top
+            return z if z > 0 else 0
+        return k * l
+
+    def residuum(self, k, l):
+        if k <= l:
+            return self.top
+        if self.family == "min":
+            return l
+        if self.family == "shift":
+            return self.top - k + l
+        return l / k
+
+    def biresiduum(self, k, l):
+        return min(self.residuum(k, l), self.residuum(l, k))

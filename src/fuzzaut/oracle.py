@@ -12,9 +12,32 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .automaton import FuzzyRecognizer, Machine, Word, underlying
-from .errors import AlphabetMismatch, NotBoolean, TooLarge
+from .errors import AlphabetMismatch, DimensionMismatch, LatticeMismatch, NotBoolean, TooLarge
 from .lattice import ONE, ZERO
 from .relation import FuzzyMatrix, compose_vm, overlap, require_quasi_order
+
+
+def reference_compose(p: FuzzyMatrix, q: FuzzyMatrix) -> FuzzyMatrix:
+    """(P o Q)(a,b) = join_c P(a,c) * Q(c,b) with the scalar `Fraction`
+    operations of `Lattice`: the reference for the level kernel behind
+    `relation.compose`."""
+    if p.lattice != q.lattice:
+        raise LatticeMismatch(f"{p.lattice.describe()} vs {q.lattice.describe()}")
+    if p.cols != q.rows:
+        raise DimensionMismatch(f"cannot compose {p.rows}x{p.cols} with {q.rows}x{q.cols}")
+    lat = p.lattice
+    otimes, join = lat.otimes, lat.join
+    out = []
+    for i in range(p.rows):
+        prow = p.row(i)
+        for j in range(q.cols):
+            qcol = q.col(j)
+            acc = ZERO
+            for x, y in zip(prow, qcol):
+                if x != ZERO and y != ZERO:
+                    acc = join(acc, otimes(x, y))
+            out.append(acc)
+    return FuzzyMatrix(lat, p.rows, q.cols, tuple(out))
 
 
 @dataclass(frozen=True)

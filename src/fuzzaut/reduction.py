@@ -22,7 +22,7 @@ running infimum instead of raising.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from operator import sub
 
 from .automaton import (
     FuzzyAutomaton,
@@ -32,24 +32,30 @@ from .automaton import (
     reachable_state_family,
     underlying,
 )
-from .errors import ContainmentViolated, EquivalenceRequired, ValidationError
-from .lattice import ONE
+from .errors import (
+    ContainmentViolated,
+    DimensionMismatch,
+    EquivalenceRequired,
+    LatticeMismatch,
+    SizeLimitExceeded,
+    ValidationError,
+)
+from .lattice import Codec
 from .relation import (
     FuzzyMatrix,
     FuzzyVector,
     aftersets,
     compose,
+    compose_levels,
     compose_mv,
     compose_vm,
-    crisp_part,
-    foresets,
     from_fuzzy_set_left,
     from_fuzzy_set_right,
     is_quasi_order,
     leq,
     meet,
     require_quasi_order,
-    transpose,
+    require_quasi_order_levels,
 )
 
 ITERATIVE_METHODS = ("ri", "li", "rie", "lie", "cri", "cli_crisp")
@@ -71,6 +77,45 @@ class ReductionReport:
     quotient: Machine
     state_trace: tuple[int, int]
     iterate_infimum: FuzzyMatrix
+
+
+# ---------------------------------------------------------------------------
+# levels
+
+
+class _Levels:
+    """A machine and some relations or vectors on its states, encoded by
+    one codec built from all of their values.  Relations stay flat
+    row-major level lists from here until the report decodes them."""
+
+    def __init__(self, machine: Machine, *extra):
+        aut = underlying(machine)
+        for item in extra:
+            if item.lattice != aut.lattice:
+                raise LatticeMismatch(f"{item.lattice.describe()} vs {aut.lattice.describe()}")
+        self.aut = aut
+        self.n = aut.n
+        self.recognizer = isinstance(machine, FuzzyRecognizer)
+        groups = [aut.delta[x].entries for x in aut.alphabet]
+        if self.recognizer:
+            groups += [machine.sigma.entries, machine.tau.entries]
+        self.codec, levels = aut.lattice.encode(*groups, *(item.entries for item in extra))
+        k = len(aut.alphabet)
+        self.delta = levels[:k]
+        self.sigma, self.tau = (levels[k], levels[k + 1]) if self.recognizer else (None, None)
+        self.extra = levels[k + 2 * self.recognizer :]
+
+    def matrix(self, levels: list) -> FuzzyMatrix:
+        return FuzzyMatrix(self.aut.lattice, self.n, self.n, self.codec.decode(levels))
+
+
+def _transpose_levels(r: list, n: int) -> list:
+    return [x for j in range(n) for x in r[j::n]]
+
+
+def _crisp_levels(codec: Codec, r: list) -> list:
+    top, zero = codec.top, codec.zero
+    return [top if x == top else zero for x in r]
 
 
 # ---------------------------------------------------------------------------
@@ -96,46 +141,74 @@ def leq_step(machine: Machine, e: FuzzyMatrix) -> FuzzyMatrix:
     return _step(machine, e, side="left", kernel="biresiduum")
 
 
+# method -> (side, kernel) of its refinement step; crisp methods add crisp_part
+_STEPS = {
+    "ri": ("right", "residuum"),
+    "li": ("left", "residuum"),
+    "rie": ("right", "biresiduum"),
+    "lie": ("left", "biresiduum"),
+    "cri": ("right", "residuum"),
+    "cli_crisp": ("left", "residuum"),
+}
+
+
 def _step(machine: Machine, r: FuzzyMatrix, side: str, kernel: str) -> FuzzyMatrix:
     aut = underlying(machine)
-    require_quasi_order(r)
-    if r.rows != aut.n:
+    if r.rows != aut.n or not r.is_square:
         raise ValidationError(f"relation is {r.rows}x{r.cols}, automaton has {aut.n} states")
-    lat = aut.lattice
-    op = lat.residuum if kernel == "residuum" else lat.biresiduum
-    composed = {
-        x: compose(aut.delta[x], r) if side == "right" else compose(r, aut.delta[x])
-        for x in aut.alphabet
-    }
-    return _meet_of_implications(lat, aut.n, composed.values(), side, op)
+    lv = _Levels(machine, r)
+    return lv.matrix(_level_step(lv, lv.extra[0], side, kernel))
 
 
-def _meet_of_implications(lat, n, matrices, side, op) -> FuzzyMatrix:
+def _level_step(lv: _Levels, r: list, side: str, kernel: str) -> list:
+    codec, n = lv.codec, lv.n
+    require_quasi_order_levels(codec, r, n)
+    if side == "right":
+        composed = [compose_levels(codec, d, r, n, n, n) for d in lv.delta]
+    else:
+        composed = [compose_levels(codec, r, d, n, n, n) for d in lv.delta]
+    return _meet_of_implications(codec, n, composed, side, kernel)
+
+
+def _meet_of_implications(codec: Codec, n: int, matrices, side: str, kernel: str) -> list:
     # right: out(a,b) = meet_c op(M(b,c), M(a,c)) over row vectors
     # left:  out(a,b) = meet_c op(M(c,a), M(c,b)) over column vectors
-    out = [ONE] * (n * n)
+    implies = _implication(codec, kernel)
+    out = [codec.top] * (n * n)
     for m in matrices:
-        lines = [m.row(i) for i in range(n)] if side == "right" else [m.col(i) for i in range(n)]
-        for a in range(n):
-            la = lines[a]
-            for b in range(n):
-                lb = lines[b]
-                acc = out[a * n + b]
-                for c in range(n):
-                    v = op(lb[c], la[c]) if side == "right" else op(la[c], lb[c])
-                    if v < acc:
-                        acc = v
-                out[a * n + b] = acc
-    return FuzzyMatrix(lat, n, n, tuple(out))
+        if side == "right":
+            lines = [m[i * n : (i + 1) * n] for i in range(n)]
+            step = [implies(lb, la) for la in lines for lb in lines]
+        else:
+            lines = [m[j::n] for j in range(n)]
+            step = [implies(la, lb) for la in lines for lb in lines]
+        out = list(map(min, out, step))
+    return out
+
+
+def _implication(codec: Codec, kernel: str):
+    """meet_c op(u[c], v[c]) over two level lines of length >= 1, for op the
+    residuum u -> v or the biresiduum, in the codec family's closed form."""
+    top = codec.top
+    if codec.family == "shift":
+        # meet_c min(L - u + v, L) = L - max(0, max_c (u - v))
+        if kernel == "residuum":
+            return lambda u, v: top - max(0, max(map(sub, u, v)))
+        return lambda u, v: top - max(0, max(map(sub, u, v)), max(map(sub, v, u)))
+    if codec.family == "min":
+        # u -> v is top where u <= v, else v; the biresiduum is min(u, v) where u != v
+        if kernel == "residuum":
+            return lambda u, v: min([y for x, y in zip(u, v) if x > y], default=top)
+        return lambda u, v: min([x if x < y else y for x, y in zip(u, v) if x != y], default=top)
+    if kernel == "residuum":
+        return lambda u, v: min([y / x for x, y in zip(u, v) if x > y], default=top)
+    return lambda u, v: min([x / y if x < y else y / x for x, y in zip(u, v) if x != y], default=top)
 
 
 def strongly_invariant_kernel(machine: Machine, side: str) -> FuzzyMatrix:
     """Greatest R with R o dx = dx (right) or dx o R = dx (left); no iteration."""
-    aut = underlying(machine)
-    lat = aut.lattice
-    return _meet_of_implications(
-        lat, aut.n, [aut.delta[x] for x in aut.alphabet], side, lat.residuum
-    )
+    lv = _Levels(machine)
+    return lv.matrix(_meet_of_implications(lv.codec, lv.n, lv.delta, side, "residuum"))
 
 
 # ---------------------------------------------------------------------------
@@ -206,26 +279,32 @@ def sigma_constraint(rec: FuzzyRecognizer) -> FuzzyMatrix:
     return from_fuzzy_set_right(rec.sigma)
 
 
-def _initial_relation(machine: Machine, method: str, start: FuzzyMatrix | None) -> FuzzyMatrix:
+def _check_start(machine: Machine, method: str, start: FuzzyMatrix) -> None:
     aut = underlying(machine)
-    n = aut.n
-    if start is None:
-        current = FuzzyMatrix.universal(aut.lattice, n)
-    else:
-        if start.lattice != aut.lattice or start.rows != n or not start.is_square:
-            raise ValidationError("start relation does not match the automaton")
-        require_quasi_order(start)
-        if method in _EQUIVALENCE and not is_quasi_order(start).symmetric:
-            raise EquivalenceRequired(f"method {method} needs an equivalence start")
-        current = start
-    if isinstance(machine, FuzzyRecognizer):
-        bound = tau_constraint(machine) if method in _RIGHT_SIDE else sigma_constraint(machine)
+    if start.lattice != aut.lattice or start.rows != aut.n or not start.is_square:
+        raise ValidationError("start relation does not match the automaton")
+    require_quasi_order(start)
+    if method in _EQUIVALENCE and not is_quasi_order(start).symmetric:
+        raise EquivalenceRequired(f"method {method} needs an equivalence start")
+
+
+def _initial_levels(lv: _Levels, method: str, start: list | None) -> list:
+    codec, n = lv.codec, lv.n
+    current = [codec.top] * (n * n) if start is None else start
+    if lv.recognizer:
+        res = codec.residuum
+        if method in _RIGHT_SIDE:
+            # R^tau(a,b) = tau(b) -> tau(a)
+            bound = [res(tb, ta) for ta in lv.tau for tb in lv.tau]
+        else:
+            # R_sigma(a,b) = sigma(a) -> sigma(b)
+            bound = [res(sa, sb) for sa in lv.sigma for sb in lv.sigma]
         if method in _EQUIVALENCE:
             # an equivalence below R^tau is below its symmetrization too
-            bound = meet(bound, transpose(bound))
-        current = meet(current, bound)
+            bound = list(map(min, bound, _transpose_levels(bound, n)))
+        current = list(map(min, current, bound))
     if method in _CRISP:
-        current = crisp_part(current)
+        current = _crisp_levels(codec, current)
     return current
 
 
@@ -263,33 +342,37 @@ def greatest_invariant(
             start=start,
         )
 
-    current = _initial_relation(machine, method, start)
+    if start is None:
+        lv = _Levels(machine)
+        current = _initial_levels(lv, method, None)
+    else:
+        _check_start(machine, method, start)
+        lv = _Levels(machine, start)
+        current = _initial_levels(lv, method, lv.extra[0])
+    codec = lv.codec
     if method in CLOSED_FORM_METHODS:
-        kernel = strongly_invariant_kernel(machine, "right" if method == "sri" else "left")
-        result = meet(current, kernel)
-        return _report(machine, method, result, iterates=1, converged=True, infimum=result)
+        side = "right" if method == "sri" else "left"
+        kernel = _meet_of_implications(codec, lv.n, lv.delta, side, "residuum")
+        result = list(map(min, current, kernel))
+        return _report(lv, method, result, iterates=1, converged=True, infimum=result)
 
-    step: Callable[[Machine, FuzzyMatrix], FuzzyMatrix] = {
-        "ri": r_step,
-        "li": l_step,
-        "rie": req_step,
-        "lie": leq_step,
-        "cri": lambda m, r: crisp_part(r_step(m, r)),
-        "cli_crisp": lambda m, r: crisp_part(l_step(m, r)),
-    }[method]
-
+    side, kernel = _STEPS[method]
+    crisp = method in _CRISP
     iterates = 1
     infimum = current
     converged = False
     while iterates < max_iter:
-        refined = meet(current, step(machine, current))
+        step = _level_step(lv, current, side, kernel)
+        if crisp:
+            step = _crisp_levels(codec, step)
+        refined = list(map(min, current, step))
         iterates += 1
-        infimum = meet(infimum, refined)
+        infimum = list(map(min, infimum, refined))
         if refined == current:
             converged = True
             break
         current = refined
-    return _report(machine, method, current, iterates, converged, infimum)
+    return _report(lv, method, current, iterates, converged, infimum)
 
 
 def greatest_strongly_invariant(machine: Machine, side: str) -> FuzzyMatrix:
@@ -328,22 +411,28 @@ def greatest_weakly_invariant(
     family = reachable_state_family(rec, direction, max_states=max_states, max_depth=max_depth)
 
     n = rec.n
-    current = FuzzyMatrix.universal(rec.lattice, n)
+    starts = ()
     if start is not None:
         require_quasi_order(start)
         if equivalence and not is_quasi_order(start).symmetric:
             raise EquivalenceRequired(f"method {method} needs an equivalence start")
-        current = meet(current, start)
-    for _, vec in family.members:
-        if equivalence:
-            piece = meet(from_fuzzy_set_left(vec), from_fuzzy_set_right(vec))
-        elif side == "right":
-            piece = from_fuzzy_set_left(vec)
+        if (start.rows, start.cols) != (n, n):
+            raise DimensionMismatch(f"{n}x{n} vs {start.rows}x{start.cols}")
+        starts = (start,)
+    lv = _Levels(rec, *starts, *(vec for _, vec in family.members))
+    codec = lv.codec
+    current = lv.extra[0] if starts else [codec.top] * (n * n)
+    res = codec.biresiduum if equivalence else codec.residuum
+    for v in lv.extra[len(starts) :]:
+        if side == "right" or equivalence:
+            # from_fuzzy_set_left: v(b) -> v(a); the biresiduum is symmetric
+            piece = [res(vb, va) for va in v for vb in v]
         else:
-            piece = from_fuzzy_set_right(vec)
-        current = meet(current, piece)
+            # from_fuzzy_set_right: v(a) -> v(b)
+            piece = [res(va, vb) for va in v for vb in v]
+        current = list(map(min, current, piece))
     return _report(
-        rec,
+        lv,
         method,
         current,
         iterates=len(family.members),
@@ -352,17 +441,17 @@ def greatest_weakly_invariant(
     )
 
 
-def _report(machine, method, relation, iterates, converged, infimum) -> ReductionReport:
-    quotient = afterset_quotient(machine, relation)
-    n_after = underlying(quotient).n
+def _report(lv: _Levels, method, relation, iterates, converged, infimum) -> ReductionReport:
+    reps = _afterset_reps(lv.codec, relation, lv.n)
+    quasi_order = lv.matrix(relation)
     return ReductionReport(
         method=method,
         iterates=iterates,
         converged=converged,
-        quasi_order=relation,
-        quotient=quotient,
-        state_trace=(underlying(machine).n, n_after),
-        iterate_infimum=infimum,
+        quasi_order=quasi_order,
+        quotient=_quotient_from_reps(lv, relation, reps),
+        state_trace=(lv.n, len(reps)),
+        iterate_infimum=quasi_order if infimum == relation else lv.matrix(infimum),
     )
 
 
@@ -370,23 +459,37 @@ def _report(machine, method, relation, iterates, converged, infimum) -> Reductio
 # quotients
 
 
-def _quotient_from_reps(machine: Machine, r: FuzzyMatrix, reps: list[int]) -> Machine:
-    aut = underlying(machine)
+def _afterset_reps(codec: Codec, r: list, n: int) -> list[int]:
+    """Least state index of each distinct row of the quasi-order r, in
+    first-occurrence order (see relation.aftersets)."""
+    require_quasi_order_levels(codec, r, n)
+    first: dict[tuple, int] = {}
+    for i in range(n):
+        first.setdefault(tuple(r[i * n : (i + 1) * n]), i)
+    return list(first.values())
+
+
+def _quotient_from_reps(lv: _Levels, r: list, reps: list[int]) -> Machine:
+    """Transitions R o dx o R, initial sigma o R and terminal R o tau, at the
+    representatives only."""
+    codec, n, k = lv.codec, lv.n, len(reps)
+    aut = lv.aut
     lat = aut.lattice
-    names = tuple(f"Q{aut.states[i]}" for i in reps)
+    rep_rows = [x for a in reps for x in r[a * n : (a + 1) * n]]
+    rep_cols = [r[c * n + b] for c in range(n) for b in reps]
     delta = {}
-    for x in aut.alphabet:
-        m = compose(compose(r, aut.delta[x]), r)
-        rows = tuple(m[a, b] for a in reps for b in reps)
-        delta[x] = FuzzyMatrix(lat, len(reps), len(reps), rows)
+    for x, d in zip(aut.alphabet, lv.delta):
+        rd = compose_levels(codec, rep_rows, d, k, n, n)
+        delta[x] = FuzzyMatrix(lat, k, k, codec.decode(compose_levels(codec, rd, rep_cols, k, n, k)))
+    names = tuple(f"Q{aut.states[i]}" for i in reps)
     quotient_aut = FuzzyAutomaton(lat, names, aut.alphabet, delta)
-    if isinstance(machine, FuzzyRecognizer):
-        sigma_full = compose_vm(machine.sigma, r)
-        tau_full = compose_mv(r, machine.tau)
-        sigma = FuzzyVector(lat, tuple(sigma_full.entries[i] for i in reps))
-        tau = FuzzyVector(lat, tuple(tau_full.entries[i] for i in reps))
-        return FuzzyRecognizer(quotient_aut, sigma, tau)
-    return quotient_aut
+    if not lv.recognizer:
+        return quotient_aut
+    sigma = compose_levels(codec, lv.sigma, rep_cols, 1, n, k)
+    tau = compose_levels(codec, rep_rows, lv.tau, k, n, 1)
+    return FuzzyRecognizer(
+        quotient_aut, FuzzyVector(lat, codec.decode(sigma)), FuzzyVector(lat, codec.decode(tau))
+    )
 
 
 def afterset_quotient(machine: Machine, r: FuzzyMatrix) -> Machine:
@@ -395,8 +498,9 @@ def afterset_quotient(machine: Machine, r: FuzzyMatrix) -> Machine:
     aut = underlying(machine)
     if r.rows != aut.n or not r.is_square:
         raise ValidationError(f"relation is {r.rows}x{r.cols}, automaton has {aut.n} states")
-    reps = [i for i, _ in aftersets(r)]
-    return _quotient_from_reps(machine, r, reps)
+    lv = _Levels(machine, r)
+    levels = lv.extra[0]
+    return _quotient_from_reps(lv, levels, _afterset_reps(lv.codec, levels, lv.n))
 
 
 def foreset_quotient(machine: Machine, r: FuzzyMatrix) -> Machine:
@@ -404,8 +508,11 @@ def foreset_quotient(machine: Machine, r: FuzzyMatrix) -> Machine:
     aut = underlying(machine)
     if r.rows != aut.n or not r.is_square:
         raise ValidationError(f"relation is {r.rows}x{r.cols}, automaton has {aut.n} states")
-    reps = [j for j, _ in foresets(r)]
-    return _quotient_from_reps(machine, r, reps)
+    lv = _Levels(machine, r)
+    levels = lv.extra[0]
+    # the columns of r are the rows of its transpose, also a quasi-order
+    reps = _afterset_reps(lv.codec, _transpose_levels(levels, lv.n), lv.n)
+    return _quotient_from_reps(lv, levels, reps)
 
 
 def quotient_quasi_order(r: FuzzyMatrix, s: FuzzyMatrix) -> FuzzyMatrix:
@@ -464,6 +571,12 @@ def alternate_reduce(
     state remains, or after max_rounds.  The round that witnessed the
     isomorphism stays in the report list; the reduct is the automaton the
     chain had reached before it.
+
+    A same-size quotient is first compared with its input entry for entry
+    (state names aside); only if they differ is `are_isomorphic` asked.
+    Above its size cap the question stays open and the chain goes on: every
+    quotient is a language-preserving reduct, and max_rounds still bounds
+    the loop.
     """
     if schedule not in SCHEDULES:
         raise ValidationError(f"unknown schedule {schedule!r}; expected one of {sorted(SCHEDULES)}")
@@ -486,7 +599,7 @@ def alternate_reduce(
         reports.append(report)
         quotient = report.quotient
         same_size = underlying(quotient).n == underlying(current).n
-        if same_size and are_isomorphic(quotient, current) is not None:
+        if same_size and (_same_entries(quotient, current) or _isomorphic(quotient, current)):
             stop = "isomorphic"
             break
         current = quotient
@@ -495,3 +608,21 @@ def alternate_reduce(
             stop = "single_state"
             break
     return AlternateReduction(schedule, tuple(reports), current, tuple(trace), stop)
+
+
+def _same_entries(a: Machine, b: Machine) -> bool:
+    """Equal transition matrices (and sigma, tau), whatever the state names."""
+    aut_a, aut_b = underlying(a), underlying(b)
+    if any(aut_a.delta[x].entries != aut_b.delta[x].entries for x in aut_a.alphabet):
+        return False
+    if isinstance(a, FuzzyRecognizer):
+        return a.sigma.entries == b.sigma.entries and a.tau.entries == b.tau.entries
+    return True
+
+
+def _isomorphic(a: Machine, b: Machine) -> bool:
+    """are_isomorphic, with False where its size cap leaves it undecided."""
+    try:
+        return are_isomorphic(a, b) is not None
+    except SizeLimitExceeded:
+        return False

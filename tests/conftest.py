@@ -129,6 +129,30 @@ def no_greatest_solution_recognizer():
     )
 
 
+def funnel_recognizer(n=14):
+    """Goedel; every state has its own initial degree, so no left round can
+    merge two states, and every transition leads into state 1 or 2."""
+    x = [[0] * n for _ in range(n)]
+    y = [[0] * n for _ in range(n)]
+    for i in range(n):
+        x[i][i % 2] = ("1/2", 1, "7/10")[i % 3]
+        y[i][(i + 1) % 2] = (1, "3/10")[i % 2]
+    sigma = [F(i + 1, n + 1) for i in range(n)]
+    tau = [(1, "1/2", 0)[i % 3] for i in range(n)]
+    return rec(aut(GODEL, ("x", "y"), mat(GODEL, x), mat(GODEL, y)), vec(GODEL, sigma), vec(GODEL, tau))
+
+
+def cycle_recognizer(n=13):
+    """Goedel; one cyclic permutation letter, distinct initial and terminal
+    degrees."""
+    p = [[1 if j == (i + 1) % n else 0 for j in range(n)] for i in range(n)]
+    return rec(
+        aut(GODEL, ("x",), mat(GODEL, p)),
+        vec(GODEL, [F(i + 1, n + 1) for i in range(n)]),
+        vec(GODEL, [F(n - i, n + 1) for i in range(n)]),
+    )
+
+
 def one_state_sink(lat, letters=("x",)):
     ident = mat(lat, [[1]])
     a = FuzzyAutomaton(lat, ("b",), tuple(letters), {x: ident for x in letters})

@@ -17,6 +17,7 @@ from conftest import (
     alternating_showcase_recognizer,
     automaton_ri_beats_rie,
     blocking_showcase_recognizer,
+    funnel_recognizer,
     one_state_sink,
     product_nonterminating,
     tau_chain_recognizer,
@@ -77,6 +78,20 @@ class TestDocuments:
         with pytest.raises(Exception):
             load(path)
         assert main(["info", path]) == 2
+
+    @pytest.mark.parametrize("n", [4.7, True, "2"])
+    def test_chain_level_count_must_be_an_integer(self, tmp_path, capsys, n):
+        doc = dict(SHOWCASE_DOC, lattice={"kind": "chain", "n": n})
+        with pytest.raises(ValidationError):
+            machine_from_document(doc)
+        assert main(["info", write(tmp_path, "a.json", doc)]) == 2
+        assert "must be an integer" in capsys.readouterr().err
+
+    def test_chain_integer_level_count_accepted(self, tmp_path, capsys):
+        doc = dict(SHOWCASE_DOC, lattice={"kind": "chain", "n": 4})
+        assert machine_from_document(doc).lattice.n == 4
+        assert main(["info", write(tmp_path, "a.json", doc)]) == 0
+        assert "lattice: chain(4)" in capsys.readouterr().out
 
     def test_missing_field_rejected(self, tmp_path):
         doc = {k: v for k, v in SHOWCASE_DOC.items() if k != "delta"}
@@ -159,6 +174,19 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "state trace: 3 -> 3 -> 2" in out
         assert "stopped: isomorphic" in out
+
+    def test_alternate_above_isomorphism_cap(self, tmp_path, capsys):
+        save(funnel_recognizer(14), str(tmp_path / "a.json"))
+        out_path = str(tmp_path / "reduct.json")
+        code = main(
+            ["alternate", "--input", str(tmp_path / "a.json"), "--schedule", "lr",
+             "--output", out_path]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "state trace: 14 -> 14 -> 5 -> 5" in out
+        assert "stopped: isomorphic" in out
+        assert load(out_path).n == 5
 
     def test_determinize(self, tmp_path, capsys):
         save(tau_chain_recognizer(), str(tmp_path / "a.json"))

@@ -1,0 +1,146 @@
+"""The level kernel against the scalar `Fraction` operations of `Lattice`.
+
+`relation.compose` encodes, runs `compose_levels` and decodes;
+`oracle.reference_compose` computes the same join of products value by
+value.  The refinement steps are checked against the defining formula
+written out here with scalar lattice operations.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fuzzaut import FuzzyAutomaton, FuzzyMatrix, Lattice, compose, underlying
+from fuzzaut.lattice import ONE
+from fuzzaut.oracle import reference_compose
+from fuzzaut.reduction import l_step, leq_step, r_step, req_step, strongly_invariant_kernel
+
+from conftest import mat
+
+LATTICES = {
+    "boolean": Lattice.boolean(),
+    "godel": Lattice.godel(),
+    "product": Lattice.product(),
+    "lukasiewicz": Lattice.lukasiewicz(),
+    "chain1": Lattice.chain(1),
+    "chain4": Lattice.chain(4),
+    "chain7": Lattice.chain(7),
+}
+
+
+def values_of(lat):
+    """Carrier values: any rational for godel (no fixed pool), coprime
+    denominators for lukasiewicz, the grid for chain(n)."""
+    if lat.kind == "boolean":
+        return st.sampled_from([F(0), F(1)])
+    if lat.kind == "chain":
+        return st.integers(0, lat.n).map(lambda k: F(k, lat.n))
+    zero_one = st.sampled_from([F(0), F(1)])
+    if lat.kind == "lukasiewicz":
+        return st.one_of(zero_one, st.sampled_from([F(1, 3), F(2, 7), F(2, 3), F(5, 7)]),
+                         st.fractions(0, 1, max_denominator=12))
+    if lat.kind == "product":
+        return st.one_of(zero_one, st.fractions(0, 1, max_denominator=9))
+    return st.one_of(zero_one, st.fractions(0, 1, max_denominator=1000))
+
+
+def matrices(lat, rows, cols):
+    return st.lists(values_of(lat), min_size=rows * cols, max_size=rows * cols).map(
+        lambda vals: FuzzyMatrix(lat, rows, cols, tuple(vals))
+    )
+
+
+@st.composite
+def operand_pairs(draw, lat):
+    """P (rows x inner) and Q (inner x cols), drawn independently, so their
+    value sets differ: square, 1 x n, n x 1 or any other shapes."""
+    n = draw(st.integers(1, 6))
+    any_shape = tuple(draw(st.integers(1, 5)) for _ in range(3))
+    rows, inner, cols = draw(
+        st.sampled_from([(n, n, n), (1, n, n), (n, n, 1), (1, n, 1), (n, 1, n), any_shape])
+    )
+    return draw(matrices(lat, rows, inner)), draw(matrices(lat, inner, cols))
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_compose_matches_reference(name, data):
+    lat = LATTICES[name]
+    p, q = data.draw(operand_pairs(lat))
+    assert compose(p, q) == reference_compose(p, q)
+
+
+def test_lukasiewicz_coprime_denominators():
+    # 1/3 and 2/7 only meet on the grid of L = 21
+    luk = LATTICES["lukasiewicz"]
+    p = mat(luk, [["1/3", "2/3"], [1, 0]])
+    q = mat(luk, [["5/7", "2/7"], [1, "6/7"]])
+    codec, _ = luk.encode(p.entries, q.entries)
+    assert codec.family == "shift" and codec.top == 21
+    assert compose(p, q) == reference_compose(p, q) == mat(luk, [["2/3", "11/21"], ["5/7", "2/7"]])
+
+
+def test_godel_values_outside_both_operands_pools():
+    godel = LATTICES["godel"]
+    p = mat(godel, [["1/997", "13/14"]])
+    q = mat(godel, [["2/3"], ["1/1000"]])
+    assert compose(p, q) == reference_compose(p, q) == mat(godel, [["1/997"]])
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+def test_level_operations_match_scalar_operations(name):
+    lat = LATTICES[name]
+    sample = lat.carrier_sample()
+    codec, (levels,) = lat.encode(sample)
+    assert codec.decode(levels) == tuple(sample)
+    for k, x in zip(levels, sample):
+        for l, y in zip(levels, sample):
+            assert codec.decode([codec.otimes(k, l)]) == (lat.otimes(x, y),)
+            assert codec.decode([codec.residuum(k, l)]) == (lat.residuum(x, y),)
+            assert codec.decode([codec.biresiduum(k, l)]) == (lat.biresiduum(x, y),)
+
+
+def reference_step(machine, r, side, op):
+    """The meet over letters x and states c of op((dx o R)(b,c), (dx o R)(a,c))
+    (right) or op((R o dx)(c,a), (R o dx)(c,b)) (left), value by value."""
+    aut = underlying(machine)
+    lat, n = aut.lattice, aut.n
+    out = [ONE] * (n * n)
+    for x in aut.alphabet:
+        if side == "right":
+            m = reference_compose(aut.delta[x], r)
+            pairs = lambda a, b, c: (m[b, c], m[a, c])  # noqa: E731
+        else:
+            m = reference_compose(r, aut.delta[x])
+            pairs = lambda a, b, c: (m[c, a], m[c, b])  # noqa: E731
+        for a in range(n):
+            for b in range(n):
+                for c in range(n):
+                    out[a * n + b] = lat.meet(out[a * n + b], op(*pairs(a, b, c)))
+    return FuzzyMatrix(lat, n, n, tuple(out))
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_steps_match_reference(name, data):
+    lat = LATTICES[name]
+    n = data.draw(st.integers(1, 4))
+    letters = ("x", "y")[: data.draw(st.integers(1, 2))]
+    delta = {x: data.draw(matrices(lat, n, n)) for x in letters}
+    machine = FuzzyAutomaton(lat, tuple(str(i) for i in range(n)), letters, delta)
+    universal = FuzzyMatrix.universal(lat, n)
+    identity = FuzzyMatrix.identity(lat, n)
+    for r in (universal, identity):
+        assert r_step(machine, r) == reference_step(machine, r, "right", lat.residuum)
+        assert l_step(machine, r) == reference_step(machine, r, "left", lat.residuum)
+        assert req_step(machine, r) == reference_step(machine, r, "right", lat.biresiduum)
+        assert leq_step(machine, r) == reference_step(machine, r, "left", lat.biresiduum)
+    # the closed form is the same meet taken over the letters themselves
+    for side in ("right", "left"):
+        assert strongly_invariant_kernel(machine, side) == reference_step(
+            machine, identity, side, lat.residuum
+        )

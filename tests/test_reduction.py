@@ -46,6 +46,8 @@ from conftest import (
     aut,
     automaton_ri_beats_rie,
     blocking_showcase_recognizer,
+    cycle_recognizer,
+    funnel_recognizer,
     godel_cycle_automaton,
     mat,
     minimality_witness_recognizer,
@@ -359,6 +361,27 @@ class TestAlternateReduce:
     def test_unknown_schedule(self):
         with pytest.raises(ValidationError):
             alternate_reduce(one_state_sink(BOOL), "zigzag")
+
+    def test_above_isomorphism_cap_the_chain_goes_on(self):
+        # 14 states: the first left round keeps every state, its quotient
+        # differs from the input and are_isomorphic refuses that size
+        rec = funnel_recognizer(14)
+        result = alternate_reduce(rec, "lr")
+        assert result.state_trace == (14, 14, 5, 5)
+        assert result.stop_reason == "isomorphic"
+        assert [r.method for r in result.reports] == ["li", "ri", "li", "ri"]
+        assert languages_equal_up_to(rec, result.reduct, 4).equal
+
+    def test_identical_quotient_stops_above_isomorphism_cap(self):
+        # 13 states throughout: the second round reproduces its input entry
+        # for entry, which needs no isomorphism search
+        rec = cycle_recognizer(13)
+        for schedule in ("lr", "rl"):
+            result = alternate_reduce(rec, schedule)
+            assert result.state_trace == (13, 13)
+            assert result.stop_reason == "isomorphic"
+            assert len(result.reports) == 2
+            assert languages_equal_up_to(rec, result.reduct, 4).equal
 
     def test_sri_descent_is_two_rounds(self):
         # strong invariance is not one-step reduced: 3 -> 2 -> 1
