@@ -262,9 +262,6 @@ class FuzzyStateFamily:
     complete: bool
     truncated: bool
 
-    def vectors(self) -> list[FuzzyVector]:
-        return [v for _, v in self.members]
-
 
 def reachable_state_family(
     rec: FuzzyRecognizer,
@@ -315,20 +312,6 @@ def reachable_state_family(
         depth += 1
 
     return FuzzyStateFamily(direction, tuple(members), complete=not truncated, truncated=truncated)
-
-
-def recognize_via_family(
-    rec: FuzzyRecognizer, family: FuzzyStateFamily, word: Word
-) -> Fraction:
-    """Evaluate recognition through a complete forward family (test oracle)."""
-    if family.direction != "forward" or not family.complete:
-        raise ValidationError("needs a complete forward family")
-    table = {v: v for _, v in family.members}
-    mats = [rec.automaton.delta[x] for x in rec.alphabet]
-    v = rec.sigma
-    for i in word:
-        v = table[compose_vm(v, mats[i])]
-    return overlap(v, rec.tau)
 
 
 def words_up_to(alphabet_size: int, max_len: int):

@@ -192,25 +192,6 @@ def _sup_value(lat, vec: FuzzyVector) -> Fraction:
     return acc
 
 
-def _closure_from(rec: FuzzyRecognizer, start: FuzzyVector, cap: int):
-    """BFS closure of one fuzzy state set under all letters; None if capped."""
-    mats = [rec.automaton.delta[x] for x in rec.alphabet]
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for f in frontier:
-            for m in mats:
-                g = compose_vm(f, m)
-                if g not in seen:
-                    if len(seen) >= cap:
-                        return None
-                    seen.add(g)
-                    nxt.append(g)
-        frontier = nxt
-    return seen
-
-
 def check_blocking(
     rec: FuzzyRecognizer,
     horizon: int,
@@ -245,11 +226,18 @@ def check_blocking(
     for word, vec in family.members:
         if len(word) > horizon:
             break
-        closure = _closure_from(rec, vec, cap=max_states)
-        if closure is None:
+        # the closure of vec under all letters; each BFS level adds a member,
+        # so max_states bounds its depth as well
+        closure = reachable_state_family(
+            FuzzyRecognizer(rec.automaton, vec, rec.tau),
+            "forward",
+            max_states=max_states,
+            max_depth=max_states,
+        )
+        if closure.truncated:
             continue
         lbar = ZERO
-        for g in closure:
+        for _, g in closure.members:
             lbar = lat.join(lbar, overlap(g, rec.tau))
         lg = _sup_value(lat, vec)
         if lbar < lg:

@@ -32,6 +32,7 @@ decodes to the value the `Fraction` operations give.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -45,6 +46,10 @@ ONE = Fraction(1)
 KINDS = ("boolean", "godel", "product", "lukasiewicz", "chain")
 
 _NUM_DEN = attrgetter("numerator", "denominator")
+
+# CPython's default int-string digit limit, which already refuses "1/" + 5000 digits
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)")
 
 
 @dataclass(frozen=True)
@@ -188,7 +193,15 @@ class Lattice:
     # -- text syntax -------------------------------------------------------
 
     def parse(self, text: str) -> Fraction:
-        """Parse "p/q", a decimal literal, "0" or "1" into a carrier value."""
+        """Parse "p/q", a decimal literal, "0" or "1" into a carrier value.
+
+        A decimal exponent beyond MAX_EXPONENT in magnitude is refused before
+        `Fraction` expands it: "1e-3000000" would otherwise cost seconds and
+        a ten-million-bit denominator."""
+        exponent = _EXPONENT.search(text)
+        # five significant digits already exceed the bound
+        if exponent and int(exponent[1].replace("_", "").lstrip("0")[:5] or 0) > MAX_EXPONENT:
+            raise LatticeValueError(f"cannot parse value {text!r}: exponent beyond {MAX_EXPONENT}")
         try:
             x = Fraction(text.strip())
         except (ValueError, ZeroDivisionError) as exc:

@@ -11,8 +11,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .automaton import FuzzyRecognizer, Machine, Word, underlying
-from .errors import AlphabetMismatch, DimensionMismatch, LatticeMismatch, NotBoolean, TooLarge
+from .automaton import FuzzyRecognizer, FuzzyStateFamily, Machine, Word, underlying
+from .errors import (
+    AlphabetMismatch,
+    DimensionMismatch,
+    LatticeMismatch,
+    NotBoolean,
+    TooLarge,
+    ValidationError,
+)
 from .lattice import ONE, ZERO
 from .relation import FuzzyMatrix, compose_vm, overlap, require_quasi_order
 
@@ -59,7 +66,7 @@ def languages_equal_up_to(a: FuzzyRecognizer, b: FuzzyRecognizer, k: int) -> Equ
     if a.alphabet != b.alphabet:
         raise AlphabetMismatch(f"{a.alphabet} vs {b.alphabet}")
     if a.lattice != b.lattice:
-        raise AlphabetMismatch("recognizers live over different lattices")
+        raise LatticeMismatch(f"{a.lattice.describe()} vs {b.lattice.describe()}")
     mats_a = [a.automaton.delta[x] for x in a.alphabet]
     mats_b = [b.automaton.delta[x] for x in b.alphabet]
     frontier = [((), a.sigma, b.sigma)]
@@ -75,6 +82,19 @@ def languages_equal_up_to(a: FuzzyRecognizer, b: FuzzyRecognizer, k: int) -> Equ
                     nxt.append((word + (i,), compose_vm(va, mats_a[i]), compose_vm(vb, mats_b[i])))
         frontier = nxt
     return EquivalenceVerdict(k, None)
+
+
+def recognize_via_family(rec: FuzzyRecognizer, family: FuzzyStateFamily, word: Word) -> Fraction:
+    """Evaluate recognition through a complete forward family: every step
+    must land on a member of the family."""
+    if family.direction != "forward" or not family.complete:
+        raise ValidationError("needs a complete forward family")
+    table = {v: v for _, v in family.members}
+    mats = [rec.automaton.delta[x] for x in rec.alphabet]
+    v = rec.sigma
+    for i in word:
+        v = table[compose_vm(v, mats[i])]
+    return overlap(v, rec.tau)
 
 
 # ---------------------------------------------------------------------------

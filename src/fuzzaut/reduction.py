@@ -1,18 +1,26 @@
 """Invariant quasi-order constructions and afterset quotients.
 
-The reduction methods, by tag:
+Every reduction method is one row of the table `METHODS`: a name mapped to
+its side, its kernel, its source and whether it is crisp.
 
-    ri / li       greatest right/left invariant fuzzy quasi-order, by the
-                  descending iteration R <- R meet R^r (resp. R^l)
-    rie / lie     equivalence variants of the same iteration
-    cri / cli_crisp   crisp variants: R <- R meet crisp_part(R^r / R^l)
-    sri / sli     strongly invariant, closed form (no iteration)
-    wri / wli     weakly invariant, via the reachable state family
-    wrie / wlie   equivalence variants of the weak construction
+    side     right (R o dx o R = dx o R) or left (R o dx o R = R o dx)
+    kernel   residuum (a quasi-order) or biresiduum (an equivalence)
+    source   iterative  the descending iteration R <- R meet R^r (or R^l)
+             closed     strongly invariant, in closed form (no iteration)
+             weak       weakly invariant, over the reachable state family
+    crisp    the iterates pass through their crisp part
 
-On a recognizer each right-side start is first met with the constraint
-quasi-order R^tau (largest R with R o tau = tau); left-side starts with
-R_sigma.  Equivalence methods use the symmetrized constraint.
+    ri / li       iterative quasi-order     rie / lie     iterative equivalence
+    cri / cli_crisp   crisp iterative       sri / sli     closed form
+    wri / wli     weak quasi-order          wrie / wlie   weak equivalence
+
+`greatest_invariant` is the one driver: it looks the method up, checks the
+start relation the same way for every method, and branches on the source.
+On a recognizer every start is first met with the constraint quasi-order
+R^tau (largest R with R o tau = tau) on the right side, R_sigma on the left;
+equivalence methods use the symmetrized constraint.  The weak methods meet
+the same constraint for every vector of the family, whose first member is
+tau (resp. sigma) itself.
 
 Iterations over locally finite lattices terminate; over the product lattice
 they may not, in which case the report carries the last iterate and the
@@ -30,11 +38,11 @@ from .automaton import (
     Machine,
     are_isomorphic,
     reachable_state_family,
+    reverse,
     underlying,
 )
 from .errors import (
     ContainmentViolated,
-    DimensionMismatch,
     EquivalenceRequired,
     LatticeMismatch,
     SizeLimitExceeded,
@@ -48,24 +56,43 @@ from .relation import (
     compose,
     compose_levels,
     compose_mv,
-    compose_vm,
-    from_fuzzy_set_left,
-    from_fuzzy_set_right,
-    is_quasi_order,
     leq,
-    meet,
     require_quasi_order,
     require_quasi_order_levels,
+    transpose,
 )
 
-ITERATIVE_METHODS = ("ri", "li", "rie", "lie", "cri", "cli_crisp")
-CLOSED_FORM_METHODS = ("sri", "sli")
-WEAK_METHODS = ("wri", "wli", "wrie", "wlie")
-METHODS = ITERATIVE_METHODS + CLOSED_FORM_METHODS + WEAK_METHODS
 
-_RIGHT_SIDE = {"ri", "rie", "cri", "sri", "wri", "wrie"}
-_EQUIVALENCE = {"rie", "lie", "wrie", "wlie"}
-_CRISP = {"cri", "cli_crisp"}
+@dataclass(frozen=True)
+class Method:
+    """One row of the method table (see the module docstring)."""
+
+    side: str  # "right" | "left"
+    kernel: str  # "residuum" | "biresiduum"
+    source: str  # "iterative" | "closed" | "weak"
+    crisp: bool = False
+
+
+METHODS = {
+    "ri": Method("right", "residuum", "iterative"),
+    "li": Method("left", "residuum", "iterative"),
+    "rie": Method("right", "biresiduum", "iterative"),
+    "lie": Method("left", "biresiduum", "iterative"),
+    "cri": Method("right", "residuum", "iterative", crisp=True),
+    "cli_crisp": Method("left", "residuum", "iterative", crisp=True),
+    "sri": Method("right", "residuum", "closed"),
+    "sli": Method("left", "residuum", "closed"),
+    "wri": Method("right", "residuum", "weak"),
+    "wli": Method("left", "residuum", "weak"),
+    "wrie": Method("right", "biresiduum", "weak"),
+    "wlie": Method("left", "biresiduum", "weak"),
+}
+
+
+def _method_name(side: str, kernel: str, source: str) -> str:
+    if side not in ("right", "left"):
+        raise ValidationError(f"side must be 'right' or 'left', got {side!r}")
+    return next(name for name, m in METHODS.items() if m == Method(side, kernel, source))
 
 
 @dataclass(frozen=True)
@@ -118,6 +145,18 @@ def _crisp_levels(codec: Codec, r: list) -> list:
     return [top if x == top else zero for x in r]
 
 
+def _constraint_levels(codec: Codec, v: list, method: Method) -> list:
+    """R^v(a,b) = v(b) -> v(a) on the right side, R_v(a,b) = v(a) -> v(b) on
+    the left; the biresiduum (symmetric) for equivalence kernels."""
+    if method.kernel == "biresiduum":
+        bi = codec.biresiduum
+        return [bi(va, vb) for va in v for vb in v]
+    res = codec.residuum
+    if method.side == "right":
+        return [res(vb, va) for va in v for vb in v]
+    return [res(va, vb) for va in v for vb in v]
+
+
 # ---------------------------------------------------------------------------
 # one-step operators
 
@@ -139,17 +178,6 @@ def req_step(machine: Machine, e: FuzzyMatrix) -> FuzzyMatrix:
 
 def leq_step(machine: Machine, e: FuzzyMatrix) -> FuzzyMatrix:
     return _step(machine, e, side="left", kernel="biresiduum")
-
-
-# method -> (side, kernel) of its refinement step; crisp methods add crisp_part
-_STEPS = {
-    "ri": ("right", "residuum"),
-    "li": ("left", "residuum"),
-    "rie": ("right", "biresiduum"),
-    "lie": ("left", "biresiduum"),
-    "cri": ("right", "residuum"),
-    "cli_crisp": ("left", "residuum"),
-}
 
 
 def _step(machine: Machine, r: FuzzyMatrix, side: str, kernel: str) -> FuzzyMatrix:
@@ -205,111 +233,28 @@ def _implication(codec: Codec, kernel: str):
     return lambda u, v: min([x / y if x < y else y / x for x, y in zip(u, v) if x != y], default=top)
 
 
-def strongly_invariant_kernel(machine: Machine, side: str) -> FuzzyMatrix:
-    """Greatest R with R o dx = dx (right) or dx o R = dx (left); no iteration."""
-    lv = _Levels(machine)
-    return lv.matrix(_meet_of_implications(lv.codec, lv.n, lv.delta, side, "residuum"))
+# ---------------------------------------------------------------------------
+# the invariance predicate (exact equalities, used by tests and callers)
+
+
+def is_invariant(machine: Machine, r: FuzzyMatrix, side: str, strong: bool = False) -> bool:
+    """Right: R o dx o R = dx o R for every letter (strong: R o dx = dx) and,
+    on a recognizer, R o tau = tau.  Left is right on the reversed machine
+    with R transposed: R o dx o R = R o dx (strong: dx o R = dx), sigma o R = sigma."""
+    if side not in ("right", "left"):
+        raise ValidationError(f"side must be 'right' or 'left', got {side!r}")
+    if side == "left":
+        return is_invariant(reverse(machine), transpose(r), "right", strong)
+    require_quasi_order(r)
+    for d in underlying(machine).delta.values():
+        target = d if strong else compose(d, r)
+        if compose(r, target) != target:
+            return False
+    return not isinstance(machine, FuzzyRecognizer) or compose_mv(r, machine.tau) == machine.tau
 
 
 # ---------------------------------------------------------------------------
-# invariance predicates (exact equalities, used by tests and callers)
-
-
-def is_right_invariant(machine: Machine, r: FuzzyMatrix) -> bool:
-    aut = underlying(machine)
-    require_quasi_order(r)
-    for x in aut.alphabet:
-        dx_r = compose(aut.delta[x], r)
-        if compose(r, dx_r) != dx_r:
-            return False
-    if isinstance(machine, FuzzyRecognizer):
-        if compose_mv(r, machine.tau) != machine.tau:
-            return False
-    return True
-
-
-def is_left_invariant(machine: Machine, r: FuzzyMatrix) -> bool:
-    aut = underlying(machine)
-    require_quasi_order(r)
-    for x in aut.alphabet:
-        r_dx = compose(r, aut.delta[x])
-        if compose(r_dx, r) != r_dx:
-            return False
-    if isinstance(machine, FuzzyRecognizer):
-        if compose_vm(machine.sigma, r) != machine.sigma:
-            return False
-    return True
-
-
-def is_strongly_right_invariant(machine: Machine, r: FuzzyMatrix) -> bool:
-    aut = underlying(machine)
-    require_quasi_order(r)
-    for x in aut.alphabet:
-        if compose(r, aut.delta[x]) != aut.delta[x]:
-            return False
-    if isinstance(machine, FuzzyRecognizer):
-        if compose_mv(r, machine.tau) != machine.tau:
-            return False
-    return True
-
-
-def is_strongly_left_invariant(machine: Machine, r: FuzzyMatrix) -> bool:
-    aut = underlying(machine)
-    require_quasi_order(r)
-    for x in aut.alphabet:
-        if compose(aut.delta[x], r) != aut.delta[x]:
-            return False
-    if isinstance(machine, FuzzyRecognizer):
-        if compose_vm(machine.sigma, r) != machine.sigma:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# constraint quasi-orders on recognizers
-
-
-def tau_constraint(rec: FuzzyRecognizer) -> FuzzyMatrix:
-    """R^tau: greatest R with R o tau = tau."""
-    return from_fuzzy_set_left(rec.tau)
-
-
-def sigma_constraint(rec: FuzzyRecognizer) -> FuzzyMatrix:
-    """R_sigma: greatest R with sigma o R = sigma."""
-    return from_fuzzy_set_right(rec.sigma)
-
-
-def _check_start(machine: Machine, method: str, start: FuzzyMatrix) -> None:
-    aut = underlying(machine)
-    if start.lattice != aut.lattice or start.rows != aut.n or not start.is_square:
-        raise ValidationError("start relation does not match the automaton")
-    require_quasi_order(start)
-    if method in _EQUIVALENCE and not is_quasi_order(start).symmetric:
-        raise EquivalenceRequired(f"method {method} needs an equivalence start")
-
-
-def _initial_levels(lv: _Levels, method: str, start: list | None) -> list:
-    codec, n = lv.codec, lv.n
-    current = [codec.top] * (n * n) if start is None else start
-    if lv.recognizer:
-        res = codec.residuum
-        if method in _RIGHT_SIDE:
-            # R^tau(a,b) = tau(b) -> tau(a)
-            bound = [res(tb, ta) for ta in lv.tau for tb in lv.tau]
-        else:
-            # R_sigma(a,b) = sigma(a) -> sigma(b)
-            bound = [res(sa, sb) for sa in lv.sigma for sb in lv.sigma]
-        if method in _EQUIVALENCE:
-            # an equivalence below R^tau is below its symmetrization too
-            bound = list(map(min, bound, _transpose_levels(bound, n)))
-        current = list(map(min, current, bound))
-    if method in _CRISP:
-        current = _crisp_levels(codec, current)
-    return current
-
-
-# ---------------------------------------------------------------------------
-# the main driver
+# the driver
 
 
 def greatest_invariant(
@@ -325,45 +270,60 @@ def greatest_invariant(
     Iterative methods refine until two consecutive iterates are equal; the
     comparison is exact structural equality, there is no tolerance.  If the
     cap is hit first the report has converged=False and carries the last
-    iterate together with the running infimum of all iterates.
+    iterate together with the running infimum of all iterates.  Weak methods
+    report converged=False when the state family fails to close within
+    max_states / max_depth: the result is then a sound over-approximation
+    (every discovered vector still constrains).
     """
-    if method not in METHODS:
-        raise ValidationError(f"unknown method {method!r}; expected one of {METHODS}")
-    if method in WEAK_METHODS:
-        if not isinstance(machine, FuzzyRecognizer):
-            raise ValidationError(f"method {method} needs a recognizer")
-        side = "right" if method in _RIGHT_SIDE else "left"
-        return greatest_weakly_invariant(
-            machine,
-            side,
-            max_states=max_states,
-            max_depth=max_depth,
-            equivalence=method in _EQUIVALENCE,
-            start=start,
-        )
+    spec = METHODS.get(method)
+    if spec is None:
+        raise ValidationError(f"unknown method {method!r}; expected one of {tuple(METHODS)}")
+    if spec.source == "weak" and not isinstance(machine, FuzzyRecognizer):
+        raise ValidationError(f"method {method} needs a recognizer")
+    starts = ()
+    if start is not None:
+        aut = underlying(machine)
+        if start.lattice != aut.lattice or start.rows != aut.n or not start.is_square:
+            raise ValidationError("start relation does not match the automaton")
+        require_quasi_order(start)
+        if spec.kernel == "biresiduum" and transpose(start) != start:
+            raise EquivalenceRequired(f"method {method} needs an equivalence start")
+        starts = (start,)
 
-    if start is None:
-        lv = _Levels(machine)
-        current = _initial_levels(lv, method, None)
+    vectors = ()
+    if spec.source == "weak":
+        direction = "reverse" if spec.side == "right" else "forward"
+        family = reachable_state_family(
+            machine, direction, max_states=max_states, max_depth=max_depth
+        )
+        vectors = tuple(vec for _, vec in family.members)
+    lv = _Levels(machine, *starts, *vectors)
+    codec, n = lv.codec, lv.n
+    current = lv.extra[0] if starts else [codec.top] * (n * n)
+    if spec.source == "weak":
+        constraints = lv.extra[len(starts) :]
+    elif lv.recognizer:
+        constraints = [lv.tau if spec.side == "right" else lv.sigma]
     else:
-        _check_start(machine, method, start)
-        lv = _Levels(machine, start)
-        current = _initial_levels(lv, method, lv.extra[0])
-    codec = lv.codec
-    if method in CLOSED_FORM_METHODS:
-        side = "right" if method == "sri" else "left"
-        kernel = _meet_of_implications(codec, lv.n, lv.delta, side, "residuum")
-        result = list(map(min, current, kernel))
+        constraints = []
+    for v in constraints:
+        current = list(map(min, current, _constraint_levels(codec, v, spec)))
+    if spec.crisp:
+        current = _crisp_levels(codec, current)
+
+    if spec.source == "weak":
+        return _report(lv, method, current, len(vectors), family.complete, current)
+    if spec.source == "closed":
+        closed = _meet_of_implications(codec, n, lv.delta, spec.side, spec.kernel)
+        result = list(map(min, current, closed))
         return _report(lv, method, result, iterates=1, converged=True, infimum=result)
 
-    side, kernel = _STEPS[method]
-    crisp = method in _CRISP
     iterates = 1
     infimum = current
     converged = False
     while iterates < max_iter:
-        step = _level_step(lv, current, side, kernel)
-        if crisp:
+        step = _level_step(lv, current, spec.side, spec.kernel)
+        if spec.crisp:
             step = _crisp_levels(codec, step)
         refined = list(map(min, current, step))
         iterates += 1
@@ -377,14 +337,8 @@ def greatest_invariant(
 
 def greatest_strongly_invariant(machine: Machine, side: str) -> FuzzyMatrix:
     """Closed-form greatest strongly invariant quasi-order (with the recognizer
-    constraint met in when sigma/tau are present)."""
-    if side not in ("right", "left"):
-        raise ValidationError(f"side must be 'right' or 'left', got {side!r}")
-    kernel = strongly_invariant_kernel(machine, side)
-    if isinstance(machine, FuzzyRecognizer):
-        bound = tau_constraint(machine) if side == "right" else sigma_constraint(machine)
-        kernel = meet(kernel, bound)
-    return kernel
+    constraint met in when sigma/tau are present): methods sri / sli."""
+    return greatest_invariant(machine, _method_name(side, "residuum", "closed")).quasi_order
 
 
 def greatest_weakly_invariant(
@@ -396,49 +350,11 @@ def greatest_weakly_invariant(
     start: FuzzyMatrix | None = None,
 ) -> ReductionReport:
     """Meet of the per-word constraints tau_u(b) -> tau_u(a) (right) or
-    sigma_u(a) -> sigma_u(b) (left), over the reachable state family.
-
-    If the family fails to close within the caps the result is a sound
-    over-approximation (every discovered vector still constrains) and the
-    report says converged=False.
-    """
-    if side not in ("right", "left"):
-        raise ValidationError(f"side must be 'right' or 'left', got {side!r}")
-    if not isinstance(rec, FuzzyRecognizer):
-        raise ValidationError("weakly invariant quasi-orders need a recognizer")
-    method = ("wri" if side == "right" else "wli") + ("e" if equivalence else "")
-    direction = "reverse" if side == "right" else "forward"
-    family = reachable_state_family(rec, direction, max_states=max_states, max_depth=max_depth)
-
-    n = rec.n
-    starts = ()
-    if start is not None:
-        require_quasi_order(start)
-        if equivalence and not is_quasi_order(start).symmetric:
-            raise EquivalenceRequired(f"method {method} needs an equivalence start")
-        if (start.rows, start.cols) != (n, n):
-            raise DimensionMismatch(f"{n}x{n} vs {start.rows}x{start.cols}")
-        starts = (start,)
-    lv = _Levels(rec, *starts, *(vec for _, vec in family.members))
-    codec = lv.codec
-    current = lv.extra[0] if starts else [codec.top] * (n * n)
-    res = codec.biresiduum if equivalence else codec.residuum
-    for v in lv.extra[len(starts) :]:
-        if side == "right" or equivalence:
-            # from_fuzzy_set_left: v(b) -> v(a); the biresiduum is symmetric
-            piece = [res(vb, va) for va in v for vb in v]
-        else:
-            # from_fuzzy_set_right: v(a) -> v(b)
-            piece = [res(va, vb) for va in v for vb in v]
-        current = list(map(min, current, piece))
-    return _report(
-        lv,
-        method,
-        current,
-        iterates=len(family.members),
-        converged=family.complete,
-        infimum=current,
-    )
+    sigma_u(a) -> sigma_u(b) (left), over the reachable state family:
+    methods wri / wli (wrie / wlie with equivalence)."""
+    kernel = "biresiduum" if equivalence else "residuum"
+    method = _method_name(side, kernel, "weak")
+    return greatest_invariant(rec, method, start=start, max_states=max_states, max_depth=max_depth)
 
 
 def _report(lv: _Levels, method, relation, iterates, converged, infimum) -> ReductionReport:

@@ -92,9 +92,6 @@ class FuzzyMatrix:
     def row_vector(self, i: int) -> FuzzyVector:
         return FuzzyVector(self.lattice, self.row(i))
 
-    def col_vector(self, j: int) -> FuzzyVector:
-        return FuzzyVector(self.lattice, self.col(j))
-
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -108,9 +105,6 @@ class FuzzyMatrix:
                 raise DimensionMismatch("ragged rows")
         flat = tuple(Fraction(v) for r in rows for v in r)
         return cls(lattice, nrows, ncols, flat)
-
-    def to_rows(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
 
     @classmethod
     def identity(cls, lattice: Lattice, n: int) -> "FuzzyMatrix":
@@ -355,12 +349,8 @@ def from_fuzzy_set_right(f: FuzzyVector) -> FuzzyMatrix:
 
 
 def from_fuzzy_set_left(f: FuzzyVector) -> FuzzyMatrix:
-    """R^f(a,b) = f(b) -> f(a); always a quasi-order."""
-    lat = f.lattice
-    res = lat.residuum
-    n = len(f)
-    flat = tuple(res(f.entries[b], f.entries[a]) for a in range(n) for b in range(n))
-    return FuzzyMatrix(lat, n, n, flat)
+    """R^f(a,b) = f(b) -> f(a), the transpose of R_f; always a quasi-order."""
+    return transpose(from_fuzzy_set_right(f))
 
 
 def crisp_part(r: FuzzyMatrix) -> FuzzyMatrix:
@@ -387,13 +377,6 @@ def aftersets(r: FuzzyMatrix) -> list[tuple[int, FuzzyVector]]:
 
 
 def foresets(r: FuzzyMatrix) -> list[tuple[int, FuzzyVector]]:
-    """Distinct columns of a quasi-order, keyed by least realizing state index."""
-    require_quasi_order(r)
-    seen: dict[tuple[Fraction, ...], int] = {}
-    out: list[tuple[int, FuzzyVector]] = []
-    for j in range(r.cols):
-        col = r.col(j)
-        if col not in seen:
-            seen[col] = j
-            out.append((j, FuzzyVector(r.lattice, col)))
-    return out
+    """Distinct columns of a quasi-order, keyed by least realizing state index:
+    the aftersets of its transpose."""
+    return aftersets(transpose(r))

@@ -21,7 +21,8 @@ from fuzzaut import (
     transition_of_word,
     words_up_to,
 )
-from fuzzaut.automaton import FuzzyAutomaton, FuzzyRecognizer, recognize_via_family
+from fuzzaut.automaton import FuzzyAutomaton, FuzzyRecognizer
+from fuzzaut.oracle import recognize_via_family
 
 from conftest import (
     BOOL,

@@ -14,6 +14,8 @@ from fuzzaut.cli import (
 )
 
 from conftest import (
+    BOOL,
+    GODEL,
     alternating_showcase_recognizer,
     automaton_ri_beats_rie,
     blocking_showcase_recognizer,
@@ -93,6 +95,13 @@ class TestDocuments:
         assert main(["info", write(tmp_path, "a.json", doc)]) == 0
         assert "lattice: chain(4)" in capsys.readouterr().out
 
+    def test_huge_decimal_exponent_rejected(self, tmp_path, capsys):
+        doc = dict(SHOWCASE_DOC, lattice={"kind": "godel"})
+        tiny = [["1e-3000000", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]
+        doc["delta"] = dict(doc["delta"], x=tiny)
+        assert main(["info", write(tmp_path, "a.json", doc)]) == 2
+        assert "exponent beyond 4300" in capsys.readouterr().err
+
     def test_missing_field_rejected(self, tmp_path):
         doc = {k: v for k, v in SHOWCASE_DOC.items() if k != "delta"}
         path = write(tmp_path, "bad.json", doc)
@@ -164,6 +173,12 @@ class TestCommands:
         (tmp_path / "b.json").write_text(json.dumps(tweaked))
         assert main(["equiv", str(tmp_path / "a.json"), str(tmp_path / "b.json")]) == 0
         assert "diverge at" in capsys.readouterr().out
+
+    def test_equiv_lattice_mismatch_exits_2(self, tmp_path, capsys):
+        save(one_state_sink(BOOL), str(tmp_path / "a.json"))
+        save(one_state_sink(GODEL), str(tmp_path / "b.json"))
+        assert main(["equiv", str(tmp_path / "a.json"), str(tmp_path / "b.json")]) == 2
+        assert "boolean vs godel" in capsys.readouterr().err
 
     def test_alternate(self, tmp_path, capsys):
         save(alternating_showcase_recognizer(), str(tmp_path / "a.json"))

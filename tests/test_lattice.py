@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -112,6 +113,16 @@ class TestTextSyntax:
             GODEL.parse("-1/2")
         with pytest.raises(LatticeValueError):
             GODEL.parse("zebra")
+
+    def test_bounds_decimal_exponents(self):
+        start = time.perf_counter()
+        for text in ("1e-3000000", "1E+4301", "1e-4_300_000"):
+            with pytest.raises(LatticeValueError):
+                GODEL.parse(text)
+        assert time.perf_counter() - start < 0.5
+        assert GODEL.parse("1e-3") == F(1, 1000)
+        assert GODEL.parse("0.3") == F(3, 10)
+        assert GODEL.parse("1e-4300") == F(1, 10**4300)
 
     def test_boolean_rejects_strict_values(self):
         with pytest.raises(LatticeValueError):

@@ -6,6 +6,7 @@ from fuzzaut import (
     AlphabetMismatch,
     FuzzyMatrix,
     FuzzyRecognizer,
+    LatticeMismatch,
     NotBoolean,
     TooLarge,
     aftersets,
@@ -67,6 +68,10 @@ class TestLanguagesEqual:
             languages_equal_up_to(
                 one_state_sink(BOOL, ("x",)), one_state_sink(BOOL, ("y",)), 2
             )
+
+    def test_lattice_mismatch(self):
+        with pytest.raises(LatticeMismatch):
+            languages_equal_up_to(one_state_sink(BOOL), one_state_sink(GODEL), 2)
 
 
 class TestBruteForce:

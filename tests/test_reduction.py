@@ -15,6 +15,7 @@ from fuzzaut import (
     are_isomorphic,
     crisp_part,
     foreset_quotient,
+    from_fuzzy_set_left,
     greatest_invariant,
     greatest_strongly_invariant,
     greatest_weakly_invariant,
@@ -27,14 +28,7 @@ from fuzzaut import (
     r_step,
 )
 from fuzzaut.oracle import check_general_system, languages_equal_up_to
-from fuzzaut.reduction import (
-    is_left_invariant,
-    is_right_invariant,
-    is_strongly_left_invariant,
-    is_strongly_right_invariant,
-    sigma_constraint,
-    tau_constraint,
-)
+from fuzzaut.reduction import is_invariant
 
 from conftest import (
     BOOL,
@@ -136,16 +130,16 @@ class TestGreatestInvariant:
         assert ri.quasi_order == mat(
             BOOL, [[1, 1, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]]
         )
-        assert leq(ri.quasi_order, tau_constraint(rec))
+        assert leq(ri.quasi_order, from_fuzzy_set_left(rec.tau))
 
     def test_converged_results_satisfy_equations(self, rng):
         for lat in CORPUS_LATTICES:
             for _ in range(5):
                 recz = rand_recognizer(rng, lat, 4)
-                for method, check in (("ri", is_right_invariant), ("li", is_left_invariant)):
+                for method, side in (("ri", "right"), ("li", "left")):
                     report = greatest_invariant(recz, method)
                     assert report.converged
-                    assert check(recz, report.quasi_order)
+                    assert is_invariant(recz, report.quasi_order, side)
 
     def test_start_must_be_quasi_order(self):
         a = automaton_ri_beats_rie()
@@ -157,6 +151,22 @@ class TestGreatestInvariant:
         start = mat(BOOL, [[1, 1, 1], [0, 1, 1], [0, 1, 1]])
         with pytest.raises(EquivalenceRequired):
             greatest_invariant(a, "rie", start=start)
+
+    @pytest.mark.parametrize("method", ["ri", "rie", "wri", "wrie"])
+    def test_one_start_check_for_every_method(self, method):
+        rec = tau_chain_recognizer()
+        with pytest.raises(ValidationError):
+            greatest_invariant(rec, method, start=FuzzyMatrix.universal(BOOL, 3))
+        with pytest.raises(ValidationError):
+            greatest_invariant(rec, method, start=FuzzyMatrix.universal(GODEL, 4))
+        with pytest.raises(NotQuasiOrder):
+            greatest_invariant(rec, method, start=mat(BOOL, [[0] * 4] * 4))
+        asymmetric = mat(BOOL, [[1, 1, 1, 1], [0, 1, 1, 1], [0, 0, 1, 1], [0, 0, 0, 1]])
+        if method.endswith("e"):
+            with pytest.raises(EquivalenceRequired):
+                greatest_invariant(rec, method, start=asymmetric)
+        else:
+            assert leq(greatest_invariant(rec, method, start=asymmetric).quasi_order, asymmetric)
 
     def test_unknown_method(self):
         with pytest.raises(ValidationError):
@@ -201,8 +211,36 @@ class TestStronglyInvariant:
     def test_results_satisfy_equations(self, rng):
         for lat in CORPUS_LATTICES:
             recz = rand_recognizer(rng, lat, 4)
-            assert is_strongly_right_invariant(recz, greatest_strongly_invariant(recz, "right"))
-            assert is_strongly_left_invariant(recz, greatest_strongly_invariant(recz, "left"))
+            for side in ("right", "left"):
+                strongest = greatest_strongly_invariant(recz, side)
+                assert is_invariant(recz, strongest, side, strong=True)
+
+
+def test_is_invariant_matches_the_equations(rng):
+    """The left side runs as the right side of the reversed machine; both
+    sides and strengths agree with the defining equations written out."""
+    from fuzzaut import compose, compose_mv, compose_vm
+
+    answers = set()
+    for lat in CORPUS_LATTICES:
+        for _ in range(6):
+            recz = rand_recognizer(rng, lat, 3)
+            for r in (FuzzyMatrix.identity(lat, 3), rand_quasi_order(rng, lat, 3)):
+                ds = list(recz.delta.values())
+                right = compose_mv(r, recz.tau) == recz.tau
+                left = compose_vm(recz.sigma, r) == recz.sigma
+                expected = {
+                    ("right", False): right
+                    and all(compose(r, compose(d, r)) == compose(d, r) for d in ds),
+                    ("right", True): right and all(compose(r, d) == d for d in ds),
+                    ("left", False): left
+                    and all(compose(compose(r, d), r) == compose(r, d) for d in ds),
+                    ("left", True): left and all(compose(d, r) == d for d in ds),
+                }
+                for (side, strong), value in expected.items():
+                    assert is_invariant(recz, r, side, strong) == value
+                    answers.add(value)
+    assert answers == {True, False}
 
 
 class TestWeaklyInvariant:
@@ -436,7 +474,7 @@ class TestStructuralTheorems:
         small = natural_equivalence(big)  # language-preserving, below big
         lifted = quotient_quasi_order(small, big)
         quotient = afterset_quotient(a, small)
-        assert is_right_invariant(quotient, lifted)
+        assert is_invariant(quotient, lifted, "right")
 
     def test_containment_chain(self, rng):
         for lat in CORPUS_LATTICES:
