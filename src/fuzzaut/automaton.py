@@ -20,7 +20,15 @@ from .errors import (
     ValidationError,
 )
 from .lattice import Lattice
-from .relation import FuzzyMatrix, FuzzyVector, compose, compose_mv, compose_vm, overlap, transpose
+from .relation import (
+    FuzzyMatrix,
+    FuzzyVector,
+    compose,
+    compose_levels,
+    compose_vm,
+    overlap,
+    transpose,
+)
 
 Word = tuple[int, ...]
 EMPTY_WORD: Word = ()
@@ -140,10 +148,7 @@ def generate(rec: FuzzyRecognizer, word: Word) -> Fraction:
     v = rec.sigma
     for i in word:
         v = compose_vm(v, rec.matrix(i))
-    acc = rec.lattice.zero
-    for x in v.entries:
-        acc = rec.lattice.join(acc, x)
-    return acc
+    return max(v.entries)
 
 
 def reverse(machine: Machine) -> Machine:
@@ -276,13 +281,21 @@ def reachable_state_family(
         raise ValidationError(f"direction must be 'forward' or 'reverse', got {direction!r}")
     if max_states < 1:
         raise ValidationError("max_states must be at least 1")
+    if max_depth < 0:
+        raise ValidationError("max_depth must be nonnegative")
     aut = rec.automaton
-    mats = [aut.delta[x] for x in aut.alphabet]
+    n = aut.n
     start = rec.sigma if direction == "forward" else rec.tau
+    # One codec for the whole BFS.  It is injective and its levels are closed
+    # under join and otimes, so every vector reached is a level tuple of this
+    # codec, and two of them are equal exactly when their values are.
+    codec, levels = aut.lattice.encode(*(aut.delta[x].entries for x in aut.alphabet), start.entries)
+    *mats, first = levels
+    first = tuple(first)
 
-    seen: dict[FuzzyVector, Word] = {start: EMPTY_WORD}
-    members: list[tuple[Word, FuzzyVector]] = [(EMPTY_WORD, start)]
-    frontier: list[tuple[Word, FuzzyVector]] = [(EMPTY_WORD, start)]
+    # insertion-ordered: the members in discovery order, with their witnesses
+    seen: dict[tuple, Word] = {first: EMPTY_WORD}
+    frontier = [(EMPTY_WORD, first)]
     truncated = False
     depth = 0
 
@@ -290,28 +303,29 @@ def reachable_state_family(
         if depth >= max_depth:
             truncated = True
             break
-        nxt: list[tuple[Word, FuzzyVector]] = []
+        nxt: list[tuple[Word, tuple]] = []
         if direction == "forward":
-            expansions = ((w + (xi,), compose_vm(f, mats[xi]))
-                          for w, f in frontier for xi in range(len(mats)))
+            expansions = ((w + (xi,), compose_levels(codec, f, m, 1, n, n))
+                          for w, f in frontier for xi, m in enumerate(mats))
         else:
             # prepend the letter: tau_{x u} = delta_x o tau_u; letter-outer
             # iteration keeps witnesses in length-then-lex order
-            expansions = (((xi,) + w, compose_mv(mats[xi], f))
-                          for xi in range(len(mats)) for w, f in frontier)
+            expansions = (((xi,) + w, compose_levels(codec, m, f, n, n, 1))
+                          for xi, m in enumerate(mats) for w, f in frontier)
         for word, g in expansions:
+            g = tuple(g)
             if g in seen:
                 continue
             if len(seen) >= max_states:
                 truncated = True
                 break
             seen[g] = word
-            members.append((word, g))
             nxt.append((word, g))
         frontier = nxt
         depth += 1
 
-    return FuzzyStateFamily(direction, tuple(members), complete=not truncated, truncated=truncated)
+    decoded = tuple((w, FuzzyVector(aut.lattice, codec.decode(g))) for g, w in seen.items())
+    return FuzzyStateFamily(direction, decoded, complete=not truncated, truncated=truncated)
 
 
 def words_up_to(alphabet_size: int, max_len: int):

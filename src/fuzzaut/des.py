@@ -25,8 +25,8 @@ from .errors import (
     NotASuperset,
     ValidationError,
 )
-from .lattice import ZERO
-from .relation import FuzzyMatrix, FuzzyVector, compose, compose_vm, join, overlap
+from .lattice import Codec
+from .relation import FuzzyMatrix, FuzzyVector, compose, compose_mv, compose_vm, join, overlap
 
 
 @dataclass(frozen=True)
@@ -46,12 +46,6 @@ def _composite_states(a: FuzzyRecognizer, b: FuzzyRecognizer) -> tuple[str, ...]
     return tuple(f"({p},{q})" for p in a.states for q in b.states)
 
 
-def _tensor_vector(a: FuzzyVector, b: FuzzyVector, lat) -> FuzzyVector:
-    return FuzzyVector(
-        lat, tuple(lat.otimes(x, y) for x in a.entries for y in b.entries)
-    )
-
-
 def product_compose(a: FuzzyRecognizer, b: FuzzyRecognizer) -> ComposedRecognizer:
     """Synchronous product over the shared alphabet X intersect Y."""
     if a.lattice != b.lattice:
@@ -59,45 +53,42 @@ def product_compose(a: FuzzyRecognizer, b: FuzzyRecognizer) -> ComposedRecognize
     shared = tuple(x for x in a.alphabet if x in set(b.alphabet))
     if not shared:
         raise EmptySharedAlphabet("product needs a nonempty shared alphabet")
-    return _compose(a, b, alphabet=shared, shared=set(shared))
+    return _compose(a, b, alphabet=shared)
 
 
 def parallel_compose(a: FuzzyRecognizer, b: FuzzyRecognizer) -> ComposedRecognizer:
     """Synchronize on shared letters, interleave on private ones."""
     if a.lattice != b.lattice:
         raise LatticeMismatch("parallel composition needs a shared lattice")
-    bset = set(b.alphabet)
     aset = set(a.alphabet)
     alphabet = a.alphabet + tuple(y for y in b.alphabet if y not in aset)
-    return _compose(a, b, alphabet=alphabet, shared=aset & bset)
+    return _compose(a, b, alphabet=alphabet)
 
 
-def _compose(a: FuzzyRecognizer, b: FuzzyRecognizer, alphabet, shared) -> ComposedRecognizer:
+def _compose(a: FuzzyRecognizer, b: FuzzyRecognizer, alphabet) -> ComposedRecognizer:
+    """Every letter acts as delta_a(x) (x) delta_b(x), sigma and tau as
+    sigma_a (x) sigma_b and tau_a (x) tau_b.  For a letter private to one
+    side the identity stands in for the other side's matrix, which is exact:
+    v * 1 = v and v * 0 = 0."""
     lat = a.lattice
     na, nb = a.n, b.n
     aset, bset = set(a.alphabet), set(b.alphabet)
+    shared = aset & bset
+    ident_a, ident_b = FuzzyMatrix.identity(lat, na), FuzzyMatrix.identity(lat, nb)
+    codec, (sa, ta, sb, tb, *mats) = lat.encode(
+        a.sigma.entries, a.tau.entries, b.sigma.entries, b.tau.entries,
+        *(a.delta.get(x, ident_a).entries for x in alphabet),
+        *(b.delta.get(x, ident_b).entries for x in alphabet),
+    )
     delta = {}
-    for x in alphabet:
-        flat = []
-        in_a, in_b = x in aset, x in bset
-        ma = a.delta[x] if in_a else None
-        mb = b.delta[x] if in_b else None
-        for p in range(na):
-            for q in range(nb):
-                for p2 in range(na):
-                    for q2 in range(nb):
-                        if x in shared:
-                            flat.append(lat.otimes(ma[p, p2], mb[q, q2]))
-                        elif in_a:
-                            flat.append(ma[p, p2] if q == q2 else ZERO)
-                        else:
-                            flat.append(mb[q, q2] if p == p2 else ZERO)
-        delta[x] = FuzzyMatrix(lat, na * nb, na * nb, tuple(flat))
+    for x, ma, mb in zip(alphabet, mats, mats[len(alphabet) :]):
+        levels = _kronecker(codec, ma, mb, na, nb)
+        delta[x] = FuzzyMatrix(lat, na * nb, na * nb, codec.decode(levels))
     aut = FuzzyAutomaton(lat, _composite_states(a, b), tuple(alphabet), delta)
     rec = FuzzyRecognizer(
         aut,
-        _tensor_vector(a.sigma, b.sigma, lat),
-        _tensor_vector(a.tau, b.tau, lat),
+        FuzzyVector(lat, codec.decode(_kronecker(codec, sa, sb, na, nb))),
+        FuzzyVector(lat, codec.decode(_kronecker(codec, ta, tb, na, nb))),
     )
     return ComposedRecognizer(
         recognizer=rec,
@@ -107,6 +98,16 @@ def _compose(a: FuzzyRecognizer, b: FuzzyRecognizer, alphabet, shared) -> Compos
         private_left=tuple(x for x in alphabet if x in aset and x not in shared),
         private_right=tuple(x for x in alphabet if x in bset and x not in shared),
     )
+
+
+def _kronecker(codec: Codec, a: list, b: list, na: int, nb: int) -> list:
+    """A (x) B for flat row-major level lists with na and nb columns: entry
+    ((p, q), (p2, q2)) is A(p, p2) * B(q, q2), pairs ordered with the right
+    component fastest.  Two 1 x n vectors give a 1 x na*nb vector."""
+    otimes = codec.otimes
+    a_rows = [a[i : i + na] for i in range(0, len(a), na)]
+    b_rows = [b[i : i + nb] for i in range(0, len(b), nb)]
+    return [otimes(x, y) for ra in a_rows for rb in b_rows for x in ra for y in rb]
 
 
 def input_extension(rec: FuzzyRecognizer, alphabet: tuple[str, ...]) -> FuzzyRecognizer:
@@ -185,13 +186,6 @@ class BlockingVerdict:
         return self.verdict != "undetermined"
 
 
-def _sup_value(lat, vec: FuzzyVector) -> Fraction:
-    acc = ZERO
-    for x in vec.entries:
-        acc = lat.join(acc, x)
-    return acc
-
-
 def check_blocking(
     rec: FuzzyRecognizer,
     horizon: int,
@@ -209,16 +203,13 @@ def check_blocking(
     """
     if horizon < 1:
         raise ValidationError("horizon must be at least 1")
-    lat = rec.lattice
     family = reachable_state_family(rec, "forward", max_states=max_states, max_depth=max_depth)
 
     if family.complete:
-        m = len(family.members)
-        reach = bounded_reach_matrix(rec, m)
+        # (vec o reach) o tau = vec o (reach o tau): one product for all members
+        reach_tau = compose_mv(bounded_reach_matrix(rec, len(family.members)), rec.tau)
         for word, vec in family.members:
-            lg = _sup_value(lat, vec)
-            lbar = overlap(compose_vm(vec, reach), rec.tau)
-            if lbar < lg:
+            if overlap(vec, reach_tau) < max(vec.entries):
                 return BlockingVerdict("blocking", word)
         return BlockingVerdict("nonblocking", None)
 
@@ -236,11 +227,8 @@ def check_blocking(
         )
         if closure.truncated:
             continue
-        lbar = ZERO
-        for _, g in closure.members:
-            lbar = lat.join(lbar, overlap(g, rec.tau))
-        lg = _sup_value(lat, vec)
-        if lbar < lg:
+        lbar = max(overlap(g, rec.tau) for _, g in closure.members)
+        if lbar < max(vec.entries):
             return BlockingVerdict("blocking", word)
     return BlockingVerdict("undetermined", None)
 

@@ -27,7 +27,10 @@ decoded once at the end.  The codec families:
               so no finite level set exists); exact, with denominator growth
 
 Each family is closed under its operations, so every level that arises
-decodes to the value the `Fraction` operations give.
+decodes to the value the `Fraction` operations give.  The scalar
+operations of `Lattice` (`otimes`, `residuum`, `biresiduum`) are the
+reference semantics the levels are tested against; the library computes
+on levels only.
 """
 
 from __future__ import annotations
@@ -182,12 +185,14 @@ class Lattice:
             top = self.n if self.kind == "chain" else lcm(*{d for keys in keyed for _, d in keys})
             codec = Codec("shift", 0, top, _ShiftValues(top))
             return codec, [[num * (top // den) for num, den in keys] for keys in keyed]
-        distinct = {(0, 1), (1, 1)}
-        for keys in keyed:
-            distinct.update(keys)
-        ordered = sorted((Fraction(num, den), (num, den)) for num, den in distinct)
-        rank = {key: i for i, (_, key) in enumerate(ordered)}
-        codec = Codec("min", 0, len(ordered) - 1, [x for x, _ in ordered])
+        values = {(0, 1): ZERO, (1, 1): ONE}
+        for keys, g in zip(keyed, groups):
+            values.update(zip(keys, g))
+        # exact integer key: distinct p/q, r/s differ by >= 1/(qs) > 2**-shift
+        shift = 2 * max(den for _, den in values).bit_length()
+        ordered = sorted(values, key=lambda key: (key[0] << shift) // key[1])
+        rank = {key: i for i, key in enumerate(ordered)}
+        codec = Codec("min", 0, len(ordered) - 1, [values[key] for key in ordered])
         return codec, [list(map(rank.__getitem__, keys)) for keys in keyed]
 
     # -- text syntax -------------------------------------------------------

@@ -52,6 +52,7 @@ from .lattice import Codec
 from .relation import (
     FuzzyMatrix,
     FuzzyVector,
+    afterset_reps,
     aftersets,
     compose,
     compose_levels,
@@ -358,7 +359,7 @@ def greatest_weakly_invariant(
 
 
 def _report(lv: _Levels, method, relation, iterates, converged, infimum) -> ReductionReport:
-    reps = _afterset_reps(lv.codec, relation, lv.n)
+    reps = afterset_reps(lv.codec, relation, lv.n)
     quasi_order = lv.matrix(relation)
     return ReductionReport(
         method=method,
@@ -373,16 +374,6 @@ def _report(lv: _Levels, method, relation, iterates, converged, infimum) -> Redu
 
 # ---------------------------------------------------------------------------
 # quotients
-
-
-def _afterset_reps(codec: Codec, r: list, n: int) -> list[int]:
-    """Least state index of each distinct row of the quasi-order r, in
-    first-occurrence order (see relation.aftersets)."""
-    require_quasi_order_levels(codec, r, n)
-    first: dict[tuple, int] = {}
-    for i in range(n):
-        first.setdefault(tuple(r[i * n : (i + 1) * n]), i)
-    return list(first.values())
 
 
 def _quotient_from_reps(lv: _Levels, r: list, reps: list[int]) -> Machine:
@@ -416,7 +407,7 @@ def afterset_quotient(machine: Machine, r: FuzzyMatrix) -> Machine:
         raise ValidationError(f"relation is {r.rows}x{r.cols}, automaton has {aut.n} states")
     lv = _Levels(machine, r)
     levels = lv.extra[0]
-    return _quotient_from_reps(lv, levels, _afterset_reps(lv.codec, levels, lv.n))
+    return _quotient_from_reps(lv, levels, afterset_reps(lv.codec, levels, lv.n))
 
 
 def foreset_quotient(machine: Machine, r: FuzzyMatrix) -> Machine:
@@ -427,7 +418,7 @@ def foreset_quotient(machine: Machine, r: FuzzyMatrix) -> Machine:
     lv = _Levels(machine, r)
     levels = lv.extra[0]
     # the columns of r are the rows of its transpose, also a quasi-order
-    reps = _afterset_reps(lv.codec, _transpose_levels(levels, lv.n), lv.n)
+    reps = afterset_reps(lv.codec, _transpose_levels(levels, lv.n), lv.n)
     return _quotient_from_reps(lv, levels, reps)
 
 

@@ -6,7 +6,9 @@ every operation is a pure function, so values can be shared freely.
 
 Compositions run on levels (see `lattice.Codec`): `compose` encodes both
 operands with one codec, calls the level kernel `compose_levels` on flat
-row-major lists and decodes the result once.  The kernel has one inner loop
+row-major lists and decodes the result once.  `compose_vm`, `compose_mv`
+and `overlap` are its 1 x n . n x n, n x n . n x 1 and 1 x n . n x 1
+shapes, through the same helper.  The kernel has one inner loop
 per codec family, each running at C level over a row and a column:
 `max(map(min, row, col))` for min, `max(map(add, row, col)) - L` clamped at
 0 for shift, and products of the nonzero pairs only for product.  The
@@ -131,9 +133,14 @@ def compose(p: FuzzyMatrix, q: FuzzyMatrix) -> FuzzyMatrix:
     lat = _check_same_lattice(p, q)
     if p.cols != q.rows:
         raise DimensionMismatch(f"cannot compose {p.rows}x{p.cols} with {q.rows}x{q.cols}")
-    codec, (pl, ql) = lat.encode(p.entries, q.entries)
-    out = compose_levels(codec, pl, ql, p.rows, p.cols, q.cols)
-    return FuzzyMatrix(lat, p.rows, q.cols, codec.decode(out))
+    entries = _compose_entries(lat, p.entries, q.entries, p.rows, p.cols, q.cols)
+    return FuzzyMatrix(lat, p.rows, q.cols, entries)
+
+
+def _compose_entries(lat: Lattice, p, q, rows: int, inner: int, cols: int) -> tuple[Fraction, ...]:
+    """Encode both operands with one codec, run the kernel, decode."""
+    codec, (pl, ql) = lat.encode(p, q)
+    return codec.decode(compose_levels(codec, pl, ql, rows, inner, cols))
 
 
 def compose_levels(codec: Codec, p: list, q: list, rows: int, inner: int, cols: int) -> list:
@@ -167,53 +174,27 @@ def compose_levels(codec: Codec, p: list, q: list, rows: int, inner: int, cols: 
 
 
 def compose_vm(f: FuzzyVector, p: FuzzyMatrix) -> FuzzyVector:
-    """(f o P)(a) = join_b f(b) * P(b,a)."""
+    """(f o P)(a) = join_b f(b) * P(b,a): the kernel on a 1 x n f."""
     lat = _check_same_lattice(f, p)
     if len(f) != p.rows:
         raise DimensionMismatch(f"vector length {len(f)} vs {p.rows} rows")
-    otimes, join = lat.otimes, lat.join
-    out = []
-    for j in range(p.cols):
-        acc = ZERO
-        for b in range(p.rows):
-            x = f.entries[b]
-            if x != ZERO:
-                y = p.entries[b * p.cols + j]
-                if y != ZERO:
-                    acc = join(acc, otimes(x, y))
-        out.append(acc)
-    return FuzzyVector(lat, tuple(out))
+    return FuzzyVector(lat, _compose_entries(lat, f.entries, p.entries, 1, p.rows, p.cols))
 
 
 def compose_mv(p: FuzzyMatrix, f: FuzzyVector) -> FuzzyVector:
-    """(P o f)(a) = join_b P(a,b) * f(b)."""
+    """(P o f)(a) = join_b P(a,b) * f(b): the kernel on an n x 1 f."""
     lat = _check_same_lattice(p, f)
     if p.cols != len(f):
         raise DimensionMismatch(f"{p.cols} cols vs vector length {len(f)}")
-    otimes, join = lat.otimes, lat.join
-    out = []
-    for i in range(p.rows):
-        acc = ZERO
-        for b, y in enumerate(p.row(i)):
-            if y != ZERO:
-                x = f.entries[b]
-                if x != ZERO:
-                    acc = join(acc, otimes(y, x))
-        out.append(acc)
-    return FuzzyVector(lat, tuple(out))
+    return FuzzyVector(lat, _compose_entries(lat, p.entries, f.entries, p.rows, p.cols, 1))
 
 
 def overlap(f: FuzzyVector, g: FuzzyVector) -> Fraction:
-    """Degree of overlapping: join_a f(a) * g(a)."""
+    """Degree of overlapping: join_a f(a) * g(a), the kernel on 1 x n f and n x 1 g."""
     lat = _check_same_lattice(f, g)
     if len(f) != len(g):
         raise DimensionMismatch(f"vector lengths {len(f)} vs {len(g)}")
-    otimes, join = lat.otimes, lat.join
-    acc = ZERO
-    for x, y in zip(f.entries, g.entries):
-        if x != ZERO and y != ZERO:
-            acc = join(acc, otimes(x, y))
-    return acc
+    return _compose_entries(lat, f.entries, g.entries, 1, len(f), 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -341,11 +322,9 @@ def natural_equivalence(r: FuzzyMatrix) -> FuzzyMatrix:
 
 def from_fuzzy_set_right(f: FuzzyVector) -> FuzzyMatrix:
     """R_f(a,b) = f(a) -> f(b); always a quasi-order."""
-    lat = f.lattice
-    res = lat.residuum
-    n = len(f)
-    flat = tuple(res(f.entries[a], f.entries[b]) for a in range(n) for b in range(n))
-    return FuzzyMatrix(lat, n, n, flat)
+    codec, (v,) = f.lattice.encode(f.entries)
+    res = codec.residuum
+    return FuzzyMatrix(f.lattice, len(v), len(v), codec.decode([res(x, y) for x in v for y in v]))
 
 
 def from_fuzzy_set_left(f: FuzzyVector) -> FuzzyMatrix:
@@ -360,20 +339,26 @@ def crisp_part(r: FuzzyMatrix) -> FuzzyMatrix:
 
 
 def aftersets(r: FuzzyMatrix) -> list[tuple[int, FuzzyVector]]:
-    """Distinct rows of a quasi-order, keyed by least realizing state index.
+    """Distinct rows of a quasi-order, keyed by least realizing state index
+    (see `afterset_reps`)."""
+    if not r.is_square:
+        raise DimensionMismatch("quasi-order test needs a square matrix")
+    codec, (levels,) = r.lattice.encode(r.entries)
+    return [(i, r.row_vector(i)) for i in afterset_reps(codec, levels, r.rows)]
+
+
+def afterset_reps(codec: Codec, r: list, n: int) -> list[int]:
+    """Least state index of each distinct row of the n x n level quasi-order r.
 
     First-occurrence order makes quotient constructions deterministic; the
-    count always equals the distinct-column count.
+    count always equals the distinct-column count.  Raises NotQuasiOrder
+    unless r is a quasi-order.
     """
-    require_quasi_order(r)
-    seen: dict[tuple[Fraction, ...], int] = {}
-    out: list[tuple[int, FuzzyVector]] = []
-    for i in range(r.rows):
-        row = r.row(i)
-        if row not in seen:
-            seen[row] = i
-            out.append((i, FuzzyVector(r.lattice, row)))
-    return out
+    require_quasi_order_levels(codec, r, n)
+    first: dict[tuple, int] = {}
+    for i in range(n):
+        first.setdefault(tuple(r[i * n : (i + 1) * n]), i)
+    return list(first.values())
 
 
 def foresets(r: FuzzyMatrix) -> list[tuple[int, FuzzyVector]]:

@@ -233,6 +233,13 @@ class TestStateFamily:
         with pytest.raises(ValidationError):
             reachable_state_family(one_state_sink(BOOL), "sideways")
 
+    def test_negative_depth_rejected(self):
+        with pytest.raises(ValidationError, match="max_depth must be nonnegative"):
+            reachable_state_family(one_state_sink(BOOL), "forward", max_depth=-1)
+        # a zero cap is legal: the start alone, not known to be closed
+        fam = reachable_state_family(one_state_sink(BOOL), "forward", max_depth=0)
+        assert fam.truncated and len(fam.members) == 1
+
     def test_complete_family_evaluates_language(self, rng):
         rec = rand_recognizer(rng, BOOL, 4)
         fam = reachable_state_family(rec, "forward")

@@ -232,6 +232,15 @@ class TestCommands:
         )
         assert code == 3
 
+    def test_determinize_negative_depth_exits_2(self, tmp_path, capsys):
+        save(tau_chain_recognizer(), str(tmp_path / "a.json"))
+        code = main(
+            ["determinize", "--input", str(tmp_path / "a.json"), "--direction", "fwd",
+             "--max-depth", "-1"]
+        )
+        assert code == 2
+        assert "max_depth must be nonnegative" in capsys.readouterr().err
+
     def test_des_blocking_and_conflict(self, tmp_path, capsys):
         rec = blocking_showcase_recognizer()
         save(rec, str(tmp_path / "a.json"))

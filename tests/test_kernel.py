@@ -2,8 +2,10 @@
 
 `relation.compose` encodes, runs `compose_levels` and decodes;
 `oracle.reference_compose` computes the same join of products value by
-value.  The refinement steps are checked against the defining formula
-written out here with scalar lattice operations.
+value.  The vector compositions, the reachable state family and the DES
+compositions are checked against it too.  The refinement steps and the
+DES products are checked against their defining formulas written out here
+with scalar lattice operations.
 """
 
 from fractions import Fraction as F
@@ -12,8 +14,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzaut import FuzzyAutomaton, FuzzyMatrix, Lattice, compose, greatest_invariant, underlying
-from fuzzaut.lattice import ONE
+from fuzzaut import (
+    FuzzyAutomaton,
+    FuzzyMatrix,
+    FuzzyRecognizer,
+    FuzzyVector,
+    Lattice,
+    compose,
+    compose_mv,
+    compose_vm,
+    greatest_invariant,
+    overlap,
+    parallel_compose,
+    product_compose,
+    reachable_state_family,
+    underlying,
+)
+from fuzzaut.lattice import ONE, ZERO
 from fuzzaut.oracle import reference_compose
 from fuzzaut.reduction import l_step, leq_step, r_step, req_step
 
@@ -144,3 +161,136 @@ def test_steps_match_reference(name, data):
         assert greatest_invariant(machine, method).quasi_order == reference_step(
             machine, identity, side, lat.residuum
         )
+
+
+def test_min_codec_orders_values_a_float_cannot_tell_apart():
+    godel = LATTICES["godel"]
+    big = 10**30
+    x, y = F(big - 1, big), F(big, big + 1)
+    assert float(x) == float(y) and x < y
+    codec, (levels,) = godel.encode([y, x, F(1, 2)])
+    # levels of 0, 1/2, x, y, 1
+    assert levels == [3, 2, 1] and codec.top == 4
+    assert codec.decode(levels) == (y, x, F(1, 2))
+
+
+# ---------------------------------------------------------------------------
+# vector shapes, the state family and the DES products
+
+
+def vectors(lat, n):
+    return st.lists(values_of(lat), min_size=n, max_size=n).map(
+        lambda vals: FuzzyVector(lat, tuple(vals))
+    )
+
+
+def as_row(f):
+    return FuzzyMatrix(f.lattice, 1, len(f), f.entries)
+
+
+def as_col(f):
+    return FuzzyMatrix(f.lattice, len(f), 1, f.entries)
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_vector_compositions_match_reference(name, data):
+    lat = LATTICES[name]
+    n, m = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    f, g = data.draw(vectors(lat, n)), data.draw(vectors(lat, n))
+    p, q = data.draw(matrices(lat, n, m)), data.draw(matrices(lat, m, n))
+    assert compose_vm(f, p).entries == reference_compose(as_row(f), p).entries
+    assert compose_mv(q, f).entries == reference_compose(q, as_col(f)).entries
+    assert overlap(f, g) == reference_compose(as_row(f), as_col(g))[0, 0]
+
+
+@st.composite
+def recognizers(draw, lat, letters=("x", "y"), max_n=4):
+    n = draw(st.integers(1, max_n))
+    delta = {x: draw(matrices(lat, n, n)) for x in letters}
+    automaton = FuzzyAutomaton(lat, tuple(str(i) for i in range(n)), letters, delta)
+    return FuzzyRecognizer(automaton, draw(vectors(lat, n)), draw(vectors(lat, n)))
+
+
+def reference_member(rec, direction, word):
+    """sigma o delta_w (forward) or delta_w o tau (reverse), letter by letter."""
+    mats = [rec.delta[x] for x in rec.alphabet]
+    if direction == "forward":
+        v = as_row(rec.sigma)
+        for i in word:
+            v = reference_compose(v, mats[i])
+    else:
+        v = as_col(rec.tau)
+        for i in reversed(word):
+            v = reference_compose(mats[i], v)
+    return v.entries
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_state_family_matches_reference(name, data):
+    lat = LATTICES[name]
+    letters = ("x", "y")[: data.draw(st.integers(1, 2))]
+    rec = data.draw(recognizers(lat, letters))
+    # product families may be infinite: only small caps there
+    cap = data.draw(st.sampled_from([1, 3, 8] if lat.kind == "product" else [1, 3, 512]))
+    for direction in ("forward", "reverse"):
+        fam = reachable_state_family(rec, direction, max_states=cap)
+        entries = [v.entries for _, v in fam.members]
+        assert len(set(entries)) == len(entries)
+        for word, v in fam.members:
+            assert v.entries == reference_member(rec, direction, word)
+        assert fam.complete != fam.truncated
+        if fam.complete:
+            members = set(entries)
+            for _, v in fam.members:
+                for m in rec.delta.values():
+                    if direction == "forward":
+                        step = reference_compose(as_row(v), m)
+                    else:
+                        step = reference_compose(m, as_col(v))
+                    assert step.entries in members
+
+
+def reference_composition(a, b, alphabet):
+    """The product-space letter matrices, sigma and tau, entry by entry with
+    the scalar operations: otimes on shared letters, and on a private letter
+    the owner's entry where the other component stays put, else 0."""
+    lat = a.lattice
+    aset, bset = set(a.alphabet), set(b.alphabet)
+    delta = {}
+    for x in alphabet:
+        flat = []
+        for p in range(a.n):
+            for q in range(b.n):
+                for p2 in range(a.n):
+                    for q2 in range(b.n):
+                        if x in aset and x in bset:
+                            flat.append(lat.otimes(a.delta[x][p, p2], b.delta[x][q, q2]))
+                        elif x in aset:
+                            flat.append(a.delta[x][p, p2] if q == q2 else ZERO)
+                        else:
+                            flat.append(b.delta[x][q, q2] if p == p2 else ZERO)
+        delta[x] = tuple(flat)
+    sigma = tuple(lat.otimes(x, y) for x in a.sigma.entries for y in b.sigma.entries)
+    tau = tuple(lat.otimes(x, y) for x in a.tau.entries for y in b.tau.entries)
+    return delta, sigma, tau
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_compositions_match_reference(name, data):
+    lat = LATTICES[name]
+    # x is private to the left, z to the right, y is shared
+    a = data.draw(recognizers(lat, ("x", "y"), max_n=3))
+    b = data.draw(recognizers(lat, ("y", "z"), max_n=3))
+    for composed, alphabet in ((parallel_compose(a, b), ("x", "y", "z")),
+                               (product_compose(a, b), ("y",))):
+        rec = composed.recognizer
+        assert rec.alphabet == alphabet
+        delta, sigma, tau = reference_composition(a, b, alphabet)
+        assert {x: m.entries for x, m in rec.delta.items()} == delta
+        assert (rec.sigma.entries, rec.tau.entries) == (sigma, tau)
