@@ -107,13 +107,16 @@ class Lattice:
         """Check carrier membership; off-grid values are rejected, never snapped."""
         if not isinstance(x, Fraction):
             raise LatticeValueError(f"expected Fraction, got {type(x).__name__}")
-        if x < ZERO or x > ONE:
+        # integer tests on the reduced form (den > 0): x in [0,1] iff
+        # 0 <= num <= den, x in {0,1} iff den == 1, x*n integral iff den | n
+        num, den = x.numerator, x.denominator
+        if num < 0 or num > den:
             raise LatticeValueError(f"value {x} outside [0,1]")
         if self.kind == "boolean":
-            if x != ZERO and x != ONE:
+            if den != 1:
                 raise LatticeValueError(f"value {x} not in the Boolean carrier {{0,1}}")
         elif self.kind == "chain":
-            if (x * self.n).denominator != 1:
+            if self.n % den:
                 raise LatticeValueError(f"value {x} not on the chain({self.n}) grid")
         return x
 
@@ -238,8 +241,10 @@ class Codec:
     """The levels of one computation (see the module docstring).
 
     `zero` and `top` are the levels of 0 and 1.  The scalar operations
-    below state each family's formulas; the relation kernel inlines them
-    over whole rows and columns.
+    below state each family's formulas.  The relation kernel applies the
+    same formulas to a whole line at once, one level against every entry
+    (`relation.broadcast_levels`), from the formula alone: a shift codec's
+    L can be about a million, so no table over the levels is ever built.
     """
 
     __slots__ = ("family", "zero", "top", "_values")

@@ -67,6 +67,8 @@ def languages_equal_up_to(a: FuzzyRecognizer, b: FuzzyRecognizer, k: int) -> Equ
         raise AlphabetMismatch(f"{a.alphabet} vs {b.alphabet}")
     if a.lattice != b.lattice:
         raise LatticeMismatch(f"{a.lattice.describe()} vs {b.lattice.describe()}")
+    if k < 0:
+        raise ValidationError(f"word length bound must be nonnegative, got {k}")
     mats_a = [a.automaton.delta[x] for x in a.alphabet]
     mats_b = [b.automaton.delta[x] for x in b.alphabet]
     frontier = [((), a.sigma, b.sigma)]

@@ -30,7 +30,7 @@ running infimum instead of raising.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import sub
+from itertools import chain
 
 from .automaton import (
     FuzzyAutomaton,
@@ -54,6 +54,7 @@ from .relation import (
     FuzzyVector,
     afterset_reps,
     aftersets,
+    broadcast_levels,
     compose,
     compose_levels,
     compose_mv,
@@ -200,6 +201,22 @@ def _level_step(lv: _Levels, r: list, side: str, kernel: str) -> list:
 
 
 def _meet_of_implications(codec: Codec, n: int, matrices, side: str, kernel: str) -> list:
+    """The meet over the matrices M and states c of op(M(b,c), M(a,c)) (right)
+    or op(M(c,a), M(c,b)) (left), for op the residuum or the biresiduum."""
+    if codec.family == "product":
+        return _product_meet_of_implications(codec, n, matrices, side, kernel)
+    if side == "right":
+        # column b of the result: the meet over M, c of M(b,c) op (column c of M)
+        scalars = ([x for m in matrices for x in m[b * n : (b + 1) * n]] for b in range(n))
+        lines = [m[c::n] for m in matrices for c in range(n)]
+        return list(chain.from_iterable(zip(*broadcast_levels(codec, kernel, scalars, lines, n))))
+    # row a of the result: the meet over M, c of M(c,a) op (row c of M)
+    scalars = ([x for m in matrices for x in m[a::n]] for a in range(n))
+    lines = [m[c * n : (c + 1) * n] for m in matrices for c in range(n)]
+    return list(chain.from_iterable(broadcast_levels(codec, kernel, scalars, lines, n)))
+
+
+def _product_meet_of_implications(codec: Codec, n: int, matrices, side: str, kernel: str) -> list:
     # right: out(a,b) = meet_c op(M(b,c), M(a,c)) over row vectors
     # left:  out(a,b) = meet_c op(M(c,a), M(c,b)) over column vectors
     implies = _implication(codec, kernel)
@@ -216,19 +233,10 @@ def _meet_of_implications(codec: Codec, n: int, matrices, side: str, kernel: str
 
 
 def _implication(codec: Codec, kernel: str):
-    """meet_c op(u[c], v[c]) over two level lines of length >= 1, for op the
-    residuum u -> v or the biresiduum, in the codec family's closed form."""
+    """meet_c op(u[c], v[c]) over two product-family lines of length >= 1, for
+    op the residuum u -> v or the biresiduum, in closed form: u -> v is 1
+    where u <= v, else v / u."""
     top = codec.top
-    if codec.family == "shift":
-        # meet_c min(L - u + v, L) = L - max(0, max_c (u - v))
-        if kernel == "residuum":
-            return lambda u, v: top - max(0, max(map(sub, u, v)))
-        return lambda u, v: top - max(0, max(map(sub, u, v)), max(map(sub, v, u)))
-    if codec.family == "min":
-        # u -> v is top where u <= v, else v; the biresiduum is min(u, v) where u != v
-        if kernel == "residuum":
-            return lambda u, v: min([y for x, y in zip(u, v) if x > y], default=top)
-        return lambda u, v: min([x if x < y else y for x, y in zip(u, v) if x != y], default=top)
     if kernel == "residuum":
         return lambda u, v: min([y / x for x, y in zip(u, v) if x > y], default=top)
     return lambda u, v: min([x / y if x < y else y / x for x, y in zip(u, v) if x != y], default=top)
@@ -281,6 +289,8 @@ def greatest_invariant(
         raise ValidationError(f"unknown method {method!r}; expected one of {tuple(METHODS)}")
     if spec.source == "weak" and not isinstance(machine, FuzzyRecognizer):
         raise ValidationError(f"method {method} needs a recognizer")
+    if max_iter < 1:
+        raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
     starts = ()
     if start is not None:
         aut = underlying(machine)
@@ -489,6 +499,8 @@ def alternate_reduce(
         raise ValidationError(f"unknown schedule {schedule!r}; expected one of {sorted(SCHEDULES)}")
     if schedule.startswith("w") and not isinstance(machine, FuzzyRecognizer):
         raise ValidationError(f"schedule {schedule} needs a recognizer")
+    if max_rounds < 1:
+        raise ValidationError(f"max_rounds must be at least 1, got {max_rounds}")
     methods = SCHEDULES[schedule]
 
     current = machine

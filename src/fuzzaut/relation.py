@@ -8,20 +8,29 @@ Compositions run on levels (see `lattice.Codec`): `compose` encodes both
 operands with one codec, calls the level kernel `compose_levels` on flat
 row-major lists and decodes the result once.  `compose_vm`, `compose_mv`
 and `overlap` are its 1 x n . n x n, n x n . n x 1 and 1 x n . n x 1
-shapes, through the same helper.  The kernel has one inner loop
-per codec family, each running at C level over a row and a column:
-`max(map(min, row, col))` for min, `max(map(add, row, col)) - L` clamped at
-0 for shift, and products of the nonzero pairs only for product.  The
-reduction driver keeps its relations as levels across a whole iteration.
-`oracle.reference_compose` is the `Fraction` route the kernel is tested
-against.
+shapes, through the same helper.
+
+For the min and shift families the kernel's inner loop is one row
+broadcast (`broadcast_levels`): row a of P o Q is the entrywise join over
+c of row c of Q scaled by the single level P(a,c), computed as one
+C-level `map(max, zip(...))` over the scaled rows.  A scaled row is built
+once per (c, level) by the family's formula over the whole row, level 0
+is skipped (x * 0 = 0) and top passes the row through (x * 1 = x).  When
+the result has more rows than columns the kernel broadcasts columns of P
+by the levels of Q instead (* commutes), so a vector costs one pass.  The
+reduction's meets of residua, (M(c,a) -> row c of M) met over c, run
+through the same primitive with `map(min, zip(...))`.  The product family
+multiplies the nonzero pairs only.  The reduction driver keeps its
+relations as levels across a whole iteration.  `oracle.reference_compose`
+is the `Fraction` route the kernel is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, le
+from itertools import chain, count
+from operator import le
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -146,22 +155,13 @@ def _compose_entries(lat: Lattice, p, q, rows: int, inner: int, cols: int) -> tu
 def compose_levels(codec: Codec, p: list, q: list, rows: int, inner: int, cols: int) -> list:
     """The level kernel: P o Q for a rows x inner P and an inner x cols Q,
     both flat row-major level lists of one codec."""
-    prows = [p[i * inner : (i + 1) * inner] for i in range(rows)]
-    qcols = [q[j::cols] for j in range(cols)]
-    out = []
-    if codec.family == "min":
-        for row in prows:
-            out.extend([max(map(min, row, col), default=0) for col in qcols])
-    elif codec.family == "shift":
-        top = codec.top
-        for row in prows:
-            for col in qcols:
-                z = max(map(add, row, col), default=0) - top
-                out.append(z if z > 0 else 0)
-    else:
+    if codec.family == "product":
         # Fraction products are dear: multiply the nonzero pairs only
+        prows = [p[i * inner : (i + 1) * inner] for i in range(rows)]
+        qcols = [q[j::cols] for j in range(cols)]
         zero = codec.zero
         col_nonzero = [{c for c, y in enumerate(col) if y} for col in qcols]
+        out = []
         for row in prows:
             row_nonzero = {c for c, x in enumerate(row) if x}
             out.extend(
@@ -170,7 +170,95 @@ def compose_levels(codec: Codec, p: list, q: list, rows: int, inner: int, cols: 
                     for col, nonzero in zip(qcols, col_nonzero)
                 ]
             )
+        return out
+    if rows <= cols:
+        # row a of P o Q is the join over c of P(a,c) * (row c of Q)
+        prows = (p[a * inner : (a + 1) * inner] for a in range(rows))
+        qrows = [q[c * cols : (c + 1) * cols] for c in range(inner)]
+        return list(chain.from_iterable(broadcast_levels(codec, "otimes", prows, qrows, cols)))
+    # * commutes: column b of P o Q is the join over c of Q(c,b) * (column c of P)
+    qcols = (q[b::cols] for b in range(cols))
+    pcols = [p[c::inner] for c in range(inner)]
+    return list(chain.from_iterable(zip(*broadcast_levels(codec, "otimes", qcols, pcols, rows))))
+
+
+def broadcast_levels(codec: Codec, op: str, scalars: Iterable, lines: list, width: int) -> list:
+    """The row-broadcast primitive of the min and shift families.
+
+    For each level list s in `scalars` (of length len(lines)), one output
+    line of `width` levels: for op "otimes" the entrywise join over c of
+    lines[c] * s[c], for op "residuum" or "biresiduum" the entrywise meet
+    over c of s[c] -> lines[c] or s[c] <-> lines[c].  Each output line is
+    one C-level `map(max, zip(...))` or `map(min, zip(...))` over its
+    scaled lines.  A level whose scaled line is the aggregate's identity
+    (0 for * and for ->) is skipped, top passes its line through unscaled
+    (x * 1 = x, 1 -> y = 1 <-> y = y), and every other scaled line is built
+    once per (c, level) and shared by the output lines that need it.
+    """
+    top = codec.top
+    if op == "otimes":
+        agg, base, skip = max, [codec.zero] * width, codec.zero
+    else:
+        agg, base, skip = min, [top] * width, codec.zero if op == "residuum" else None
+    memo = _ScaledLines(_scaler(codec.family, op, top), lines)
+    out = []
+    for s in scalars:
+        scaled = [
+            line if level == top else memo[c, level]
+            for c, line, level in zip(count(), lines, s)
+            if level != skip
+        ]
+        # base keeps the tuples nonempty when every level is skipped
+        out.append(list(map(agg, zip(base, *scaled))))
     return out
+
+
+class _ScaledLines(dict):
+    """(c, level) -> lines[c] scaled by level, built on first use."""
+
+    __slots__ = ("scale", "lines")
+
+    def __init__(self, scale, lines: list):
+        super().__init__()
+        self.scale = scale
+        self.lines = lines
+
+    def __missing__(self, key: tuple) -> list:
+        c, level = key
+        scaled = self[key] = self.scale(self.lines[c], level)
+        return scaled
+
+
+def _scaler(family: str, op: str, top: int):
+    """(line, k) -> the line with each level y replaced by y * k, k -> y or
+    k <-> y: the family's formula (see `Codec`) written over a whole line.
+    Shift-family * and -> lines are left unclamped: below 0 or above L,
+    they lose to the aggregate's base of zeros or tops."""
+    if family == "min":
+        if op == "otimes":
+            return lambda line, k: [y if y < k else k for y in line]
+        if op == "residuum":
+            return lambda line, k: [top if y >= k else y for y in line]
+        return lambda line, k: [top if y == k else y if y < k else k for y in line]
+    if op == "otimes":
+        # y * k = max(y + k - L, 0)
+        def scale(line, k):
+            d = top - k
+            return [y - d for y in line]
+
+    elif op == "residuum":
+        # k -> y = min(L - k + y, L)
+        def scale(line, k):
+            e = top - k
+            return [y + e for y in line]
+
+    else:
+        # k <-> y = L - |k - y|
+        def scale(line, k):
+            e, g = top - k, top + k
+            return [y + e if y < k else g - y for y in line]
+
+    return scale
 
 
 def compose_vm(f: FuzzyVector, p: FuzzyMatrix) -> FuzzyVector:

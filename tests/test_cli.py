@@ -148,6 +148,11 @@ class TestCommands:
         assert "last iterate:" in out and "iterate infimum:" in out
         assert "1/128" in out  # entry (2,1) after 8 iterates
 
+    def test_reduce_max_iter_below_one_exits_2(self, tmp_path, capsys):
+        path = write(tmp_path, "a.json", SHOWCASE_DOC)
+        assert main(["reduce", "--method", "ri", "--input", path, "--max-iter", "0"]) == 2
+        assert "max_iter must be at least 1" in capsys.readouterr().err
+
     def test_reduce_cli_method_alias(self, tmp_path, capsys):
         path = write(tmp_path, "a.json", SHOWCASE_DOC)
         assert main(["reduce", "--method", "cli", "--input", path]) == 0
@@ -180,6 +185,14 @@ class TestCommands:
         assert main(["equiv", str(tmp_path / "a.json"), str(tmp_path / "b.json")]) == 2
         assert "boolean vs godel" in capsys.readouterr().err
 
+    def test_equiv_negative_max_len_exits_2(self, tmp_path, capsys):
+        save(alternating_showcase_recognizer(), str(tmp_path / "a.json"))
+        path = str(tmp_path / "a.json")
+        assert main(["equiv", path, path, "--max-len", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "word length bound must be nonnegative" in captured.err
+        assert "equal up to" not in captured.out
+
     def test_alternate(self, tmp_path, capsys):
         save(alternating_showcase_recognizer(), str(tmp_path / "a.json"))
         code = main(
@@ -202,6 +215,15 @@ class TestCommands:
         assert "state trace: 14 -> 14 -> 5 -> 5" in out
         assert "stopped: isomorphic" in out
         assert load(out_path).n == 5
+
+    def test_alternate_max_rounds_below_one_exits_2(self, tmp_path, capsys):
+        save(alternating_showcase_recognizer(), str(tmp_path / "a.json"))
+        code = main(
+            ["alternate", "--input", str(tmp_path / "a.json"), "--schedule", "wrl",
+             "--max-rounds", "0"]
+        )
+        assert code == 2
+        assert "max_rounds must be at least 1" in capsys.readouterr().err
 
     def test_determinize(self, tmp_path, capsys):
         save(tau_chain_recognizer(), str(tmp_path / "a.json"))

@@ -8,6 +8,7 @@ DES products are checked against their defining formulas written out here
 with scalar lattice operations.
 """
 
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -23,11 +24,13 @@ from fuzzaut import (
     compose,
     compose_mv,
     compose_vm,
+    from_fuzzy_set_right,
     greatest_invariant,
     overlap,
     parallel_compose,
     product_compose,
     reachable_state_family,
+    transpose,
     underlying,
 )
 from fuzzaut.lattice import ONE, ZERO
@@ -69,14 +72,28 @@ def matrices(lat, rows, cols):
     )
 
 
+def vectors(lat, n):
+    return st.lists(values_of(lat), min_size=n, max_size=n).map(
+        lambda vals: FuzzyVector(lat, tuple(vals))
+    )
+
+
 @st.composite
 def operand_pairs(draw, lat):
     """P (rows x inner) and Q (inner x cols), drawn independently, so their
-    value sets differ: square, 1 x n, n x 1 or any other shapes."""
+    value sets differ: square, 1 x n, n x 1, any other shapes, and tall
+    (rows > cols) and wide (rows < cols) shapes up to 12, which the kernel
+    broadcasts along columns and along rows."""
     n = draw(st.integers(1, 6))
     any_shape = tuple(draw(st.integers(1, 5)) for _ in range(3))
+    inner = draw(st.integers(1, 6))
+    short = draw(st.integers(2, 11))
+    long = draw(st.integers(short + 1, 12))
     rows, inner, cols = draw(
-        st.sampled_from([(n, n, n), (1, n, n), (n, n, 1), (1, n, 1), (n, 1, n), any_shape])
+        st.sampled_from(
+            [(n, n, n), (1, n, n), (n, n, 1), (1, n, 1), (n, 1, n), any_shape,
+             (long, inner, short), (short, inner, long)]
+        )
     )
     return draw(matrices(lat, rows, inner)), draw(matrices(lat, inner, cols))
 
@@ -145,13 +162,16 @@ def reference_step(machine, r, side, op):
 @given(data=st.data())
 def test_steps_match_reference(name, data):
     lat = LATTICES[name]
-    n = data.draw(st.integers(1, 4))
+    # up to 7 states, so levels repeat within a line
+    n = data.draw(st.integers(1, 7))
     letters = ("x", "y")[: data.draw(st.integers(1, 2))]
     delta = {x: data.draw(matrices(lat, n, n)) for x in letters}
     machine = FuzzyAutomaton(lat, tuple(str(i) for i in range(n)), letters, delta)
     universal = FuzzyMatrix.universal(lat, n)
     identity = FuzzyMatrix.identity(lat, n)
-    for r in (universal, identity):
+    # R_f(a,b) = f(a) -> f(b): a quasi-order, neither symmetric nor crisp in general
+    drawn = from_fuzzy_set_right(data.draw(vectors(lat, n)))
+    for r in (universal, identity, drawn, transpose(drawn)):
         assert r_step(machine, r) == reference_step(machine, r, "right", lat.residuum)
         assert l_step(machine, r) == reference_step(machine, r, "left", lat.residuum)
         assert req_step(machine, r) == reference_step(machine, r, "right", lat.biresiduum)
@@ -161,6 +181,26 @@ def test_steps_match_reference(name, data):
         assert greatest_invariant(machine, method).quasi_order == reference_step(
             machine, identity, side, lat.residuum
         )
+
+
+def test_lukasiewicz_large_common_denominator():
+    # L = 997 * 991 = 988027 levels: lines are scaled by formula, and no
+    # level-by-level table is ever built
+    luk = LATTICES["lukasiewicz"]
+    delta = {
+        "x": mat(luk, [["1/997", "990/991", 1], [0, "500/997", "1/991"], ["996/997", 1, "3/991"]]),
+        "y": mat(luk, [[1, 0, "2/997"], ["7/991", 1, 0], ["498/997", "1/997", "989/991"]]),
+    }
+    machine = FuzzyAutomaton(luk, ("0", "1", "2"), ("x", "y"), delta)
+    r = from_fuzzy_set_right(FuzzyVector(luk, (F(1, 997), F(700, 991), F(1))))
+    started = time.perf_counter()
+    codec, _ = luk.encode(*(d.entries for d in delta.values()), r.entries)
+    assert codec.family == "shift" and codec.top == 988027
+    assert compose(delta["x"], r) == reference_compose(delta["x"], r)
+    assert compose(r, delta["y"]) == reference_compose(r, delta["y"])
+    assert r_step(machine, r) == reference_step(machine, r, "right", luk.residuum)
+    assert req_step(machine, r) == reference_step(machine, r, "right", luk.biresiduum)
+    assert time.perf_counter() - started < 0.5
 
 
 def test_min_codec_orders_values_a_float_cannot_tell_apart():
@@ -176,12 +216,6 @@ def test_min_codec_orders_values_a_float_cannot_tell_apart():
 
 # ---------------------------------------------------------------------------
 # vector shapes, the state family and the DES products
-
-
-def vectors(lat, n):
-    return st.lists(values_of(lat), min_size=n, max_size=n).map(
-        lambda vals: FuzzyVector(lat, tuple(vals))
-    )
 
 
 def as_row(f):

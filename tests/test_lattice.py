@@ -135,6 +135,36 @@ class TestTextSyntax:
             CHAIN4.validate(F(1, 5))
 
 
+def comparison_verdict(lat, x):
+    """The carrier test as `Fraction` comparisons, the way `Lattice.validate`
+    decided it before it moved to integer tests on numerator and denominator:
+    the error message for x, or None if x is in the carrier."""
+    if x < 0 or x > 1:
+        return f"value {x} outside [0,1]"
+    if lat.kind == "boolean":
+        if x != 0 and x != 1:
+            return f"value {x} not in the Boolean carrier {{0,1}}"
+    elif lat.kind == "chain":
+        if (x * lat.n).denominator != 1:
+            return f"value {x} not on the chain({lat.n}) grid"
+    return None
+
+
+@pytest.mark.parametrize(
+    "lat", [BOOL, GODEL, PROD, LUK, Lattice.chain(1), CHAIN4, Lattice.chain(6)],
+    ids=lambda lat: lat.describe(),
+)
+@given(x=st.one_of(st.fractions(-2, 2, max_denominator=12), st.fractions(-2, 2)))
+def test_validate_matches_comparison_predicate(lat, x):
+    expected = comparison_verdict(lat, x)
+    if expected is None:
+        assert lat.validate(x) is x
+    else:
+        with pytest.raises(LatticeValueError) as excinfo:
+            lat.validate(x)
+        assert str(excinfo.value) == expected
+
+
 def test_chain_needs_level_count():
     with pytest.raises(LatticeValueError):
         Lattice("chain")

@@ -9,6 +9,7 @@ from fuzzaut import (
     LatticeMismatch,
     NotBoolean,
     TooLarge,
+    ValidationError,
     aftersets,
     brute_force_greatest_invariant,
     check_general_system,
@@ -72,6 +73,14 @@ class TestLanguagesEqual:
     def test_lattice_mismatch(self):
         with pytest.raises(LatticeMismatch):
             languages_equal_up_to(one_state_sink(BOOL), one_state_sink(GODEL), 2)
+
+    def test_negative_length_bound_rejected(self):
+        a = one_state_sink(BOOL)
+        b = FuzzyRecognizer(a.automaton, a.sigma, vec(BOOL, [0]))
+        with pytest.raises(ValidationError, match="word length bound must be nonnegative"):
+            languages_equal_up_to(a, b, -1)
+        # zero compares the empty word only
+        assert languages_equal_up_to(a, b, 0).first_divergence[0] == ()
 
 
 class TestBruteForce:

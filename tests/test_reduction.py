@@ -172,6 +172,13 @@ class TestGreatestInvariant:
         with pytest.raises(ValidationError):
             greatest_invariant(automaton_ri_beats_rie(), "zigzag")
 
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_max_iter_below_one_rejected(self, max_iter):
+        with pytest.raises(ValidationError, match="max_iter must be at least 1"):
+            greatest_invariant(automaton_ri_beats_rie(), "ri", max_iter=max_iter)
+        # one iterate is legal: the start itself, not known to be stable
+        assert not greatest_invariant(automaton_ri_beats_rie(), "ri", max_iter=1).converged
+
     def test_weak_needs_recognizer(self):
         with pytest.raises(ValidationError):
             greatest_invariant(automaton_ri_beats_rie(), "wri")
@@ -399,6 +406,11 @@ class TestAlternateReduce:
     def test_unknown_schedule(self):
         with pytest.raises(ValidationError):
             alternate_reduce(one_state_sink(BOOL), "zigzag")
+
+    @pytest.mark.parametrize("max_rounds", [0, -1])
+    def test_max_rounds_below_one_rejected(self, max_rounds):
+        with pytest.raises(ValidationError, match="max_rounds must be at least 1"):
+            alternate_reduce(alternating_showcase_recognizer(), "wrl", max_rounds=max_rounds)
 
     def test_above_isomorphism_cap_the_chain_goes_on(self):
         # 14 states: the first left round keeps every state, its quotient
