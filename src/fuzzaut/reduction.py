@@ -219,8 +219,15 @@ def _meet_of_implications(codec: Codec, n: int, matrices, side: str, kernel: str
 def _product_meet_of_implications(codec: Codec, n: int, matrices, side: str, kernel: str) -> list:
     # right: out(a,b) = meet_c op(M(b,c), M(a,c)) over row vectors
     # left:  out(a,b) = meet_c op(M(c,a), M(c,b)) over column vectors
-    implies = _implication(codec, kernel)
-    out = [codec.top] * (n * n)
+    # in closed form over two lines u, v: u -> v is 1 where u <= v, else v / u
+    top = codec.top
+    if kernel == "residuum":
+        implies = lambda u, v: min([y / x for x, y in zip(u, v) if x > y], default=top)
+    else:
+        implies = lambda u, v: min(
+            [x / y if x < y else y / x for x, y in zip(u, v) if x != y], default=top
+        )
+    out = [top] * (n * n)
     for m in matrices:
         if side == "right":
             lines = [m[i * n : (i + 1) * n] for i in range(n)]
@@ -230,16 +237,6 @@ def _product_meet_of_implications(codec: Codec, n: int, matrices, side: str, ker
             step = [implies(la, lb) for la in lines for lb in lines]
         out = list(map(min, out, step))
     return out
-
-
-def _implication(codec: Codec, kernel: str):
-    """meet_c op(u[c], v[c]) over two product-family lines of length >= 1, for
-    op the residuum u -> v or the biresiduum, in closed form: u -> v is 1
-    where u <= v, else v / u."""
-    top = codec.top
-    if kernel == "residuum":
-        return lambda u, v: min([y / x for x, y in zip(u, v) if x > y], default=top)
-    return lambda u, v: min([x / y if x < y else y / x for x, y in zip(u, v) if x != y], default=top)
 
 
 # ---------------------------------------------------------------------------

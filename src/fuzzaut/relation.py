@@ -17,10 +17,11 @@ C-level `map(max, zip(...))` over the scaled rows.  A scaled row is built
 once per (c, level) by the family's formula over the whole row, level 0
 is skipped (x * 0 = 0) and top passes the row through (x * 1 = x).  When
 the result has more rows than columns the kernel broadcasts columns of P
-by the levels of Q instead (* commutes), so a vector costs one pass.  The
-reduction's meets of residua, (M(c,a) -> row c of M) met over c, run
-through the same primitive with `map(min, zip(...))`.  The product family
-multiplies the nonzero pairs only.  The reduction driver keeps its
+by the levels of Q instead (* commutes), so a vector costs one pass.  A
+1 x 1 result (`overlap`) has no line to broadcast: it is one pass over
+the pairs.  The reduction's meets of residua, (M(c,a) -> row c of M) met
+over c, run through the same primitive with `map(min, zip(...))`.  The
+product family multiplies the nonzero pairs only.  The reduction driver keeps its
 relations as levels across a whole iteration.  `oracle.reference_compose`
 is the `Fraction` route the kernel is tested against.
 """
@@ -30,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count
-from operator import le
+from operator import add, le
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -171,6 +172,12 @@ def compose_levels(codec: Codec, p: list, q: list, rows: int, inner: int, cols: 
                 ]
             )
         return out
+    if rows == cols == 1:
+        # a dot product: one pass over the pairs, no line to broadcast
+        if codec.family == "min":
+            return [max([x if x < y else y for x, y in zip(p, q)], default=0)]
+        z = max(map(add, p, q), default=0) - codec.top
+        return [z if z > 0 else 0]
     if rows <= cols:
         # row a of P o Q is the join over c of P(a,c) * (row c of Q)
         prows = (p[a * inner : (a + 1) * inner] for a in range(rows))
@@ -200,33 +207,24 @@ def broadcast_levels(codec: Codec, op: str, scalars: Iterable, lines: list, widt
         agg, base, skip = max, [codec.zero] * width, codec.zero
     else:
         agg, base, skip = min, [top] * width, codec.zero if op == "residuum" else None
-    memo = _ScaledLines(_scaler(codec.family, op, top), lines)
+    scale = _scaler(codec.family, op, top)
+    memo = {}
+
+    def scaled_line(c: int, level: int) -> list:
+        line = memo[c, level] = scale(lines[c], level)
+        return line
+
     out = []
     for s in scalars:
+        # a memo miss (or an empty line, rebuilt for free) builds the line
         scaled = [
-            line if level == top else memo[c, level]
+            line if level == top else memo.get((c, level)) or scaled_line(c, level)
             for c, line, level in zip(count(), lines, s)
             if level != skip
         ]
         # base keeps the tuples nonempty when every level is skipped
         out.append(list(map(agg, zip(base, *scaled))))
     return out
-
-
-class _ScaledLines(dict):
-    """(c, level) -> lines[c] scaled by level, built on first use."""
-
-    __slots__ = ("scale", "lines")
-
-    def __init__(self, scale, lines: list):
-        super().__init__()
-        self.scale = scale
-        self.lines = lines
-
-    def __missing__(self, key: tuple) -> list:
-        c, level = key
-        scaled = self[key] = self.scale(self.lines[c], level)
-        return scaled
 
 
 def _scaler(family: str, op: str, top: int):
