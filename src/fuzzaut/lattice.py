@@ -240,11 +240,12 @@ class _ShiftValues(dict):
 class Codec:
     """The levels of one computation (see the module docstring).
 
-    `zero` and `top` are the levels of 0 and 1.  The scalar operations
-    below state each family's formulas.  The relation kernel applies the
-    same formulas to a whole line at once, one level against every entry
+    `zero` and `top` are the levels of 0 and 1.  The relation kernel
+    applies each family's formulas (see the module docstring) to a whole
+    line at once, one level against every entry
     (`relation.broadcast_levels`), from the formula alone: a shift codec's
     L can be about a million, so no table over the levels is ever built.
+    `otimes` is the scalar * on levels, for the DES Kronecker product.
     """
 
     __slots__ = ("family", "zero", "top", "_values")
@@ -267,15 +268,3 @@ class Codec:
             z = k + l - self.top
             return z if z > 0 else 0
         return k * l
-
-    def residuum(self, k, l):
-        if k <= l:
-            return self.top
-        if self.family == "min":
-            return l
-        if self.family == "shift":
-            return self.top - k + l
-        return l / k
-
-    def biresiduum(self, k, l):
-        return min(self.residuum(k, l), self.residuum(l, k))

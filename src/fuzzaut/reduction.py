@@ -20,11 +20,13 @@ On a recognizer every start is first met with the constraint quasi-order
 R^tau (largest R with R o tau = tau) on the right side, R_sigma on the left;
 equivalence methods use the symmetrized constraint.  The weak methods meet
 the same constraint for every vector of the family, whose first member is
-tau (resp. sigma) itself.
+tau (resp. sigma) itself.  The steps, the closed forms and the constraints
+are all meets of residua, each one call of `relation.residual_levels`.
 
 Iterations over locally finite lattices terminate; over the product lattice
-they may not, in which case the report carries the last iterate and the
-running infimum instead of raising.
+they may not, in which case the report carries the last iterate instead of
+raising.  Every iterate is met with the one before, so the last iterate is
+also the infimum of all of them.
 """
 
 from __future__ import annotations
@@ -54,13 +56,13 @@ from .relation import (
     FuzzyVector,
     afterset_reps,
     aftersets,
-    broadcast_levels,
     compose,
     compose_levels,
     compose_mv,
     leq,
     require_quasi_order,
     require_quasi_order_levels,
+    residual_levels,
     transpose,
 )
 
@@ -134,29 +136,26 @@ class _Levels:
         self.sigma, self.tau = (levels[k], levels[k + 1]) if self.recognizer else (None, None)
         self.extra = levels[k + 2 * self.recognizer :]
 
+    @classmethod
+    def of_relation(cls, machine: Machine, r: FuzzyMatrix) -> "_Levels":
+        """The levels of a machine and one relation on its states, extra[0]."""
+        n = underlying(machine).n
+        if r.rows != n or not r.is_square:
+            raise ValidationError(f"relation is {r.rows}x{r.cols}, automaton has {n} states")
+        return cls(machine, r)
+
     def matrix(self, levels: list) -> FuzzyMatrix:
         return FuzzyMatrix(self.aut.lattice, self.n, self.n, self.codec.decode(levels))
 
 
-def _transpose_levels(r: list, n: int) -> list:
-    return [x for j in range(n) for x in r[j::n]]
+def _transpose_levels(r: list, cols: int) -> list:
+    """The transpose of a flat row-major level matrix with `cols` columns."""
+    return list(chain.from_iterable(r[j::cols] for j in range(cols)))
 
 
 def _crisp_levels(codec: Codec, r: list) -> list:
     top, zero = codec.top, codec.zero
     return [top if x == top else zero for x in r]
-
-
-def _constraint_levels(codec: Codec, v: list, method: Method) -> list:
-    """R^v(a,b) = v(b) -> v(a) on the right side, R_v(a,b) = v(a) -> v(b) on
-    the left; the biresiduum (symmetric) for equivalence kernels."""
-    if method.kernel == "biresiduum":
-        bi = codec.biresiduum
-        return [bi(va, vb) for va in v for vb in v]
-    res = codec.residuum
-    if method.side == "right":
-        return [res(vb, va) for va in v for vb in v]
-    return [res(va, vb) for va in v for vb in v]
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +182,7 @@ def leq_step(machine: Machine, e: FuzzyMatrix) -> FuzzyMatrix:
 
 
 def _step(machine: Machine, r: FuzzyMatrix, side: str, kernel: str) -> FuzzyMatrix:
-    aut = underlying(machine)
-    if r.rows != aut.n or not r.is_square:
-        raise ValidationError(f"relation is {r.rows}x{r.cols}, automaton has {aut.n} states")
-    lv = _Levels(machine, r)
+    lv = _Levels.of_relation(machine, r)
     return lv.matrix(_level_step(lv, lv.extra[0], side, kernel))
 
 
@@ -197,46 +193,20 @@ def _level_step(lv: _Levels, r: list, side: str, kernel: str) -> list:
         composed = [compose_levels(codec, d, r, n, n, n) for d in lv.delta]
     else:
         composed = [compose_levels(codec, r, d, n, n, n) for d in lv.delta]
-    return _meet_of_implications(codec, n, composed, side, kernel)
+    return _meet_of_residua(codec, n, composed, side, kernel)
 
 
-def _meet_of_implications(codec: Codec, n: int, matrices, side: str, kernel: str) -> list:
-    """The meet over the matrices M and states c of op(M(b,c), M(a,c)) (right)
-    or op(M(c,a), M(c,b)) (left), for op the residuum or the biresiduum."""
-    if codec.family == "product":
-        return _product_meet_of_implications(codec, n, matrices, side, kernel)
+def _meet_of_residua(codec: Codec, n: int, matrices, side: str, kernel: str) -> list:
+    """R(a,b) = the meet over the matrices M and their rows c of
+    op(M(c,a), M(c,b)) (left), or over their columns c of op(M(b,c), M(a,c))
+    (right), for op the kernel: the residual of the stacked M with
+    themselves, on the right of their transposes and transposed back.  An M
+    is n x n, or a vector: 1 x n on the left, n x 1 on the right."""
     if side == "right":
-        # column b of the result: the meet over M, c of M(b,c) op (column c of M)
-        scalars = ([x for m in matrices for x in m[b * n : (b + 1) * n]] for b in range(n))
-        lines = [m[c::n] for m in matrices for c in range(n)]
-        return list(chain.from_iterable(zip(*broadcast_levels(codec, kernel, scalars, lines, n))))
-    # row a of the result: the meet over M, c of M(c,a) op (row c of M)
-    scalars = ([x for m in matrices for x in m[a::n]] for a in range(n))
-    lines = [m[c * n : (c + 1) * n] for m in matrices for c in range(n)]
-    return list(chain.from_iterable(broadcast_levels(codec, kernel, scalars, lines, n)))
-
-
-def _product_meet_of_implications(codec: Codec, n: int, matrices, side: str, kernel: str) -> list:
-    # right: out(a,b) = meet_c op(M(b,c), M(a,c)) over row vectors
-    # left:  out(a,b) = meet_c op(M(c,a), M(c,b)) over column vectors
-    # in closed form over two lines u, v: u -> v is 1 where u <= v, else v / u
-    top = codec.top
-    if kernel == "residuum":
-        implies = lambda u, v: min([y / x for x, y in zip(u, v) if x > y], default=top)
-    else:
-        implies = lambda u, v: min(
-            [x / y if x < y else y / x for x, y in zip(u, v) if x != y], default=top
-        )
-    out = [top] * (n * n)
-    for m in matrices:
-        if side == "right":
-            lines = [m[i * n : (i + 1) * n] for i in range(n)]
-            step = [implies(lb, la) for la in lines for lb in lines]
-        else:
-            lines = [m[j::n] for j in range(n)]
-            step = [implies(la, lb) for la in lines for lb in lines]
-        out = list(map(min, out, step))
-    return out
+        matrices = [_transpose_levels(m, len(m) // n) for m in matrices]
+    stacked = list(chain.from_iterable(matrices))
+    out = residual_levels(codec, kernel, stacked, stacked, len(stacked) // n, n, n)
+    return _transpose_levels(out, n) if side == "right" else out
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +246,10 @@ def greatest_invariant(
     Iterative methods refine until two consecutive iterates are equal; the
     comparison is exact structural equality, there is no tolerance.  If the
     cap is hit first the report has converged=False and carries the last
-    iterate together with the running infimum of all iterates.  Weak methods
-    report converged=False when the state family fails to close within
-    max_states / max_depth: the result is then a sound over-approximation
-    (every discovered vector still constrains).
+    iterate, which is also the infimum of all iterates: they descend.  Weak
+    methods report converged=False when the state family fails to close
+    within max_states / max_depth: the result is then a sound
+    over-approximation (every discovered vector still constrains).
     """
     spec = METHODS.get(method)
     if spec is None:
@@ -314,20 +284,19 @@ def greatest_invariant(
         constraints = [lv.tau if spec.side == "right" else lv.sigma]
     else:
         constraints = []
-    for v in constraints:
-        current = list(map(min, current, _constraint_levels(codec, v, spec)))
+    constraint = _meet_of_residua(codec, n, constraints, spec.side, spec.kernel)
+    current = list(map(min, current, constraint))
     if spec.crisp:
         current = _crisp_levels(codec, current)
 
     if spec.source == "weak":
-        return _report(lv, method, current, len(vectors), family.complete, current)
+        return _report(lv, method, current, len(vectors), family.complete)
     if spec.source == "closed":
-        closed = _meet_of_implications(codec, n, lv.delta, spec.side, spec.kernel)
+        closed = _meet_of_residua(codec, n, lv.delta, spec.side, spec.kernel)
         result = list(map(min, current, closed))
-        return _report(lv, method, result, iterates=1, converged=True, infimum=result)
+        return _report(lv, method, result, iterates=1, converged=True)
 
     iterates = 1
-    infimum = current
     converged = False
     while iterates < max_iter:
         step = _level_step(lv, current, spec.side, spec.kernel)
@@ -335,12 +304,11 @@ def greatest_invariant(
             step = _crisp_levels(codec, step)
         refined = list(map(min, current, step))
         iterates += 1
-        infimum = list(map(min, infimum, refined))
         if refined == current:
             converged = True
             break
         current = refined
-    return _report(lv, method, current, iterates, converged, infimum)
+    return _report(lv, method, current, iterates, converged)
 
 
 def greatest_strongly_invariant(machine: Machine, side: str) -> FuzzyMatrix:
@@ -365,7 +333,7 @@ def greatest_weakly_invariant(
     return greatest_invariant(rec, method, start=start, max_states=max_states, max_depth=max_depth)
 
 
-def _report(lv: _Levels, method, relation, iterates, converged, infimum) -> ReductionReport:
+def _report(lv: _Levels, method, relation, iterates, converged) -> ReductionReport:
     reps = afterset_reps(lv.codec, relation, lv.n)
     quasi_order = lv.matrix(relation)
     return ReductionReport(
@@ -375,7 +343,8 @@ def _report(lv: _Levels, method, relation, iterates, converged, infimum) -> Redu
         quasi_order=quasi_order,
         quotient=_quotient_from_reps(lv, relation, reps),
         state_trace=(lv.n, len(reps)),
-        iterate_infimum=quasi_order if infimum == relation else lv.matrix(infimum),
+        # the iterates descend, so their infimum is the last one
+        iterate_infimum=quasi_order,
     )
 
 
@@ -409,20 +378,14 @@ def _quotient_from_reps(lv: _Levels, r: list, reps: list[int]) -> Machine:
 def afterset_quotient(machine: Machine, r: FuzzyMatrix) -> Machine:
     """The afterset automaton/recognizer: one state per distinct row of r,
     transitions (R o dx o R), initial sigma o R, terminal R o tau."""
-    aut = underlying(machine)
-    if r.rows != aut.n or not r.is_square:
-        raise ValidationError(f"relation is {r.rows}x{r.cols}, automaton has {aut.n} states")
-    lv = _Levels(machine, r)
+    lv = _Levels.of_relation(machine, r)
     levels = lv.extra[0]
     return _quotient_from_reps(lv, levels, afterset_reps(lv.codec, levels, lv.n))
 
 
 def foreset_quotient(machine: Machine, r: FuzzyMatrix) -> Machine:
     """Column-based construction; isomorphic to the afterset quotient."""
-    aut = underlying(machine)
-    if r.rows != aut.n or not r.is_square:
-        raise ValidationError(f"relation is {r.rows}x{r.cols}, automaton has {aut.n} states")
-    lv = _Levels(machine, r)
+    lv = _Levels.of_relation(machine, r)
     levels = lv.extra[0]
     # the columns of r are the rows of its transpose, also a quasi-order
     reps = afterset_reps(lv.codec, _transpose_levels(levels, lv.n), lv.n)

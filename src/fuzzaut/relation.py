@@ -19,9 +19,15 @@ is skipped (x * 0 = 0) and top passes the row through (x * 1 = x).  When
 the result has more rows than columns the kernel broadcasts columns of P
 by the levels of Q instead (* commutes), so a vector costs one pass.  A
 1 x 1 result (`overlap`) has no line to broadcast: it is one pass over
-the pairs.  The reduction's meets of residua, (M(c,a) -> row c of M) met
-over c, run through the same primitive with `map(min, zip(...))`.  The
-product family multiplies the nonzero pairs only.  The reduction driver keeps its
+the pairs.  Product compositions multiply the nonzero pairs only.
+
+Every meet of residua is one call of `residual_levels`, the right residual
+of relations: for a k x m P and a k x n Q, the m x n matrix (a,b) -> the
+meet over c of P(c,a) -> Q(c,b) (or <->).  For min and shift it is the
+same broadcast with `map(min, zip(...))`, the columns of P as scalars and
+the rows of Q as lines; product takes u -> v over column pairs in closed
+form.  The reduction's steps, closed forms and constraints and
+`from_fuzzy_set_right` all use it.  The reduction driver keeps its
 relations as levels across a whole iteration.  `oracle.reference_compose`
 is the `Fraction` route the kernel is tested against.
 """
@@ -259,6 +265,35 @@ def _scaler(family: str, op: str, top: int):
     return scale
 
 
+def residual_levels(codec: Codec, op: str, p: list, q: list, k: int, m: int, n: int) -> list:
+    """The residual kernel: the m x n level matrix (a,b) -> the meet over c
+    of op(P(c,a), Q(c,b)), for a k x m P and a k x n Q (flat row-major,
+    one codec) and op "residuum" or "biresiduum".  An empty meet (k = 0)
+    is top."""
+    if codec.family == "product":
+        # over two columns u, v: u -> v is 1 where u <= v, else v / u
+        top = codec.top
+        if op == "residuum":
+            implies = lambda u, v: min([y / x for x, y in zip(u, v) if x > y], default=top)
+        else:
+            implies = lambda u, v: min(
+                [x / y if x < y else y / x for x, y in zip(u, v) if x != y], default=top
+            )
+        pcols, qcols = [p[a::m] for a in range(m)], [q[b::n] for b in range(n)]
+        return [implies(u, v) for u in pcols for v in qcols]
+    # row a of the result: the meet over c of P(c,a) op (row c of Q), over
+    # blocks of c, so that the scaled lines of a block (at most m per c) are
+    # dropped before the next block: a state family can have thousands of c
+    out, block = None, 1 + 4096 // max(m, 1)
+    for lo in range(0, k or 1, block):
+        hi = min(k, lo + block)
+        pcols = (p[lo * m + a : hi * m : m] for a in range(m))
+        qrows = [q[c * n : (c + 1) * n] for c in range(lo, hi)]
+        rows = chain.from_iterable(broadcast_levels(codec, op, pcols, qrows, n))
+        out = list(rows) if out is None else list(map(min, out, rows))
+    return out
+
+
 def compose_vm(f: FuzzyVector, p: FuzzyMatrix) -> FuzzyVector:
     """(f o P)(a) = join_b f(b) * P(b,a): the kernel on a 1 x n f."""
     lat = _check_same_lattice(f, p)
@@ -409,8 +444,9 @@ def natural_equivalence(r: FuzzyMatrix) -> FuzzyMatrix:
 def from_fuzzy_set_right(f: FuzzyVector) -> FuzzyMatrix:
     """R_f(a,b) = f(a) -> f(b); always a quasi-order."""
     codec, (v,) = f.lattice.encode(f.entries)
-    res = codec.residuum
-    return FuzzyMatrix(f.lattice, len(v), len(v), codec.decode([res(x, y) for x in v for y in v]))
+    n = len(v)
+    levels = residual_levels(codec, "residuum", v, v, 1, n, n)
+    return FuzzyMatrix(f.lattice, n, n, codec.decode(levels))
 
 
 def from_fuzzy_set_left(f: FuzzyVector) -> FuzzyMatrix:

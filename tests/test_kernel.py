@@ -3,11 +3,13 @@
 `relation.compose` encodes, runs `compose_levels` and decodes;
 `oracle.reference_compose` computes the same join of products value by
 value.  The vector compositions, the reachable state family and the DES
-compositions are checked against it too.  The refinement steps and the
-DES products are checked against their defining formulas written out here
-with scalar lattice operations.
+compositions are checked against it too.  The residual kernel
+`residual_levels`, the refinement steps, the weakly invariant methods and
+the DES products are checked against their defining formulas written out
+here with scalar lattice operations.
 """
 
+import random
 import tracemalloc
 from fractions import Fraction as F
 
@@ -36,6 +38,7 @@ from fuzzaut import (
 from fuzzaut.lattice import ONE, ZERO
 from fuzzaut.oracle import reference_compose
 from fuzzaut.reduction import l_step, leq_step, r_step, req_step
+from fuzzaut.relation import residual_levels
 
 from conftest import mat
 
@@ -133,8 +136,50 @@ def test_level_operations_match_scalar_operations(name):
     for k, x in zip(levels, sample):
         for l, y in zip(levels, sample):
             assert codec.decode([codec.otimes(k, l)]) == (lat.otimes(x, y),)
-            assert codec.decode([codec.residuum(k, l)]) == (lat.residuum(x, y),)
-            assert codec.decode([codec.biresiduum(k, l)]) == (lat.biresiduum(x, y),)
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_residual_matches_reference(name, data):
+    lat = LATTICES[name]
+    # rectangular: k = 0 is the empty meet, and m != n
+    k, m = data.draw(st.integers(0, 5)), data.draw(st.integers(1, 6))
+    n = data.draw(st.integers(1, 6).filter(lambda n: n != m))
+    p = data.draw(st.lists(values_of(lat), min_size=k * m, max_size=k * m))
+    q = data.draw(st.lists(values_of(lat), min_size=k * n, max_size=k * n))
+    codec, (pl, ql) = lat.encode(p, q)
+    for op in ("residuum", "biresiduum"):
+        scalar = getattr(lat, op)
+        expected = tuple(
+            min([scalar(p[c * m + a], q[c * n + b]) for c in range(k)], default=ONE)
+            for a in range(m)
+            for b in range(n)
+        )
+        assert codec.decode(residual_levels(codec, op, pl, ql, k, m, n)) == expected
+
+
+@pytest.mark.parametrize("name", ["godel", "chain4"])
+def test_residual_over_thousands_of_rows(name):
+    # a state family can give k in the thousands, which the kernel meets in
+    # blocks of rows.  P is 0 (0 -> y = 1) except in one row per column,
+    # placed first, in the middle and last, so each block decides some
+    # entries and none may be dropped.
+    lat = LATTICES[name]
+    rng = random.Random(5)
+    pool = lat.carrier_sample(9)
+    k, m, n = 5000, 3, 4
+    p, q = [ZERO] * (k * m), [rng.choice(pool) for _ in range(k * n)]
+    for a, c in enumerate((0, k // 2, k - 1)):
+        p[c * m + a] = rng.choice(pool[1:])
+    codec, (pl, ql) = lat.encode(p, q)
+    expected = tuple(
+        min(lat.residuum(p[c * m + a], q[c * n + b]) for c in range(k))
+        for a in range(m)
+        for b in range(n)
+    )
+    assert expected != (ONE,) * (m * n)
+    assert codec.decode(residual_levels(codec, "residuum", pl, ql, k, m, n)) == expected
 
 
 def reference_step(machine, r, side, op):
@@ -294,6 +339,31 @@ def test_state_family_matches_reference(name, data):
                     else:
                         step = reference_compose(m, as_col(v))
                     assert step.entries in members
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_weak_methods_meet_their_constraints(name, data):
+    lat = LATTICES[name]
+    letters = ("x", "y")[: data.draw(st.integers(1, 2))]
+    rec = data.draw(recognizers(lat, letters))
+    n = rec.n
+    cap = 8 if lat.kind == "product" else 512
+    # the right side meets tau_u(b) op tau_u(a), the left sigma_u(a) op sigma_u(b)
+    for method, direction, op in (("wri", "reverse", lat.residuum),
+                                  ("wli", "forward", lat.residuum),
+                                  ("wrie", "reverse", lat.biresiduum),
+                                  ("wlie", "forward", lat.biresiduum)):
+        members = [v for _, v in reachable_state_family(rec, direction, max_states=cap).members]
+        if direction == "reverse":
+            pairs = lambda v, a, b: (v[b], v[a])  # noqa: E731
+        else:
+            pairs = lambda v, a, b: (v[a], v[b])  # noqa: E731
+        expected = tuple(
+            min(op(*pairs(v, a, b)) for v in members) for a in range(n) for b in range(n)
+        )
+        assert greatest_invariant(rec, method, max_states=cap).quasi_order.entries == expected
 
 
 def reference_composition(a, b, alphabet):
