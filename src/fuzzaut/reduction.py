@@ -150,7 +150,7 @@ class _Levels:
 
 def _transpose_levels(r: list, cols: int) -> list:
     """The transpose of a flat row-major level matrix with `cols` columns."""
-    return list(chain.from_iterable(r[j::cols] for j in range(cols)))
+    return [x for j in range(cols) for x in r[j::cols]]
 
 
 def _crisp_levels(codec: Codec, r: list) -> list:

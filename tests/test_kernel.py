@@ -182,6 +182,26 @@ def test_residual_over_thousands_of_rows(name):
     assert codec.decode(residual_levels(codec, "residuum", pl, ql, k, m, n)) == expected
 
 
+@pytest.mark.parametrize("name", ["godel", "chain4"])
+def test_residual_memory_stays_within_a_block(name):
+    # only one block's scaled lines are alive at a time: 0.3-0.6 MB here,
+    # where the lines of all k = 4000 rows at once take 4.4-8.6 MB
+    lat = LATTICES[name]
+    rng = random.Random(7)
+    pool = lat.carrier_sample(9)
+    k, m, n = 4000, 12, 12
+    p, q = ([rng.choice(pool) for _ in range(k * w)] for w in (m, n))
+    codec, (pl, ql) = lat.encode(p, q)
+    for op in ("residuum", "biresiduum"):
+        tracemalloc.start()
+        try:
+            residual_levels(codec, op, pl, ql, k, m, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
+
 def reference_step(machine, r, side, op):
     """The meet over letters x and states c of op((dx o R)(b,c), (dx o R)(a,c))
     (right) or op((R o dx)(c,a), (R o dx)(c,b)) (left), value by value."""
