@@ -2,9 +2,13 @@
 
 Blocking compares the prefix-closure of the recognized language against the
 generated language.  The prefix-closure quantifies over all continuation
-words, so a finite tool can only decide it when the reachable fuzzy state
-sets are finitely many; verdicts are three-valued so the tool never
-overclaims on lattices where that fails.
+words, but on every lattice here x * y <= x, so a path through a repeated
+state never beats its shortcut: the join of delta_v over all words v is
+already reached by |v| <= n - 1, and the prefix-closure at any word u is
+exactly sigma o delta_u o T o tau for that one reach matrix T.  The verdict
+is three-valued only because the forward state family, which enumerates
+the words u, need not be finite: where it is truncated, the words within
+the horizon are decided exactly and the rest is left 'undetermined'.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .lattice import Codec
-from .relation import FuzzyMatrix, FuzzyVector, compose, compose_mv, compose_vm, join, overlap
+from .relation import FuzzyMatrix, FuzzyVector, compose_levels, compose_mv, compose_vm, overlap
 
 
 @dataclass(frozen=True)
@@ -147,25 +151,30 @@ def bounded_reach_matrix(rec: FuzzyRecognizer, horizon: int) -> FuzzyMatrix:
     """T_h = join of delta_v over all words v with |v| <= h.
 
     Composition distributes over joins, so f o T_h o tau equals the join of
-    f o delta_v o tau over the same words.  Stops early on stabilization,
-    in which case the matrix covers all of X*.
+    f o delta_v o tau over the same words.  With D the join of the letter
+    matrices, T_h = (I v D) o T_(h-1): one level composition per step.
+    Since x * y <= x, T_h is constant from h = n - 1 on and covers all of
+    X*; the iteration stops at the first step that changes nothing.
     """
     aut = rec.automaton
-    ident = FuzzyMatrix.identity(aut.lattice, aut.n)
+    n = aut.n
+    codec, mats = aut.lattice.encode(*(aut.delta[x].entries for x in aut.alphabet))
+    ident = [codec.top if i == j else codec.zero for i in range(n) for j in range(n)]
+    # levels are ordered as their values, so a join is an entrywise max
+    step = list(map(max, ident, *mats))
     current = ident
     for _ in range(horizon):
-        stepped = ident
-        for x in aut.alphabet:
-            stepped = join(stepped, compose(aut.delta[x], current))
+        stepped = compose_levels(codec, step, current, n, n, n)
         if stepped == current:
-            return current
+            break
         current = stepped
-    return current
+    return FuzzyMatrix(aut.lattice, n, n, codec.decode(current))
 
 
 def prefix_closure_at(rec: FuzzyRecognizer, word: Word, horizon: int) -> Fraction:
     """join over |v| <= horizon of L(rec)(word . v): a lower bound of the
-    prefix-closure, exact whenever the supremum is attained in the horizon."""
+    prefix-closure, exact whenever the supremum is attained in the horizon,
+    as it always is for horizon >= n - 1."""
     if horizon < 0:
         raise ValidationError("horizon must be nonnegative")
     check_word(rec, word)
@@ -194,43 +203,25 @@ def check_blocking(
 ) -> BlockingVerdict:
     """Decide whether the prefix-closure of L falls strictly below L_g.
 
-    When the forward state family closes, the check is exact for every word
-    (the horizon is auto-tightened to the family size).  Otherwise words up
-    to the horizon are inspected and a gap is only reported when the
-    continuation closure from that word is finite, so a 'blocking' verdict
-    is always certified; anything short of a full decision comes back
-    'undetermined'.
+    The prefix-closure at the word of a forward family member f is exactly
+    f o T o tau for the reach matrix T = bounded_reach_matrix(rec, n) (see
+    the module docstring), so every member inspected is decided exactly.
+    When the family closes, every word is covered and the verdict is
+    'blocking' or 'nonblocking'.  When it is truncated, the members up to
+    the horizon are inspected: a gap there is a certified 'blocking', and
+    finding none gives 'undetermined'.
     """
     if horizon < 1:
         raise ValidationError("horizon must be at least 1")
     family = reachable_state_family(rec, "forward", max_states=max_states, max_depth=max_depth)
-
-    if family.complete:
-        # (vec o reach) o tau = vec o (reach o tau): one product for all members
-        reach_tau = compose_mv(bounded_reach_matrix(rec, len(family.members)), rec.tau)
-        for word, vec in family.members:
-            if overlap(vec, reach_tau) < max(vec.entries):
-                return BlockingVerdict("blocking", word)
-        return BlockingVerdict("nonblocking", None)
-
-    # truncated family: certified gaps only, never a nonblocking claim
+    # (vec o reach) o tau = vec o (reach o tau): one product for all members
+    reach_tau = compose_mv(bounded_reach_matrix(rec, rec.n), rec.tau)
     for word, vec in family.members:
-        if len(word) > horizon:
+        if family.truncated and len(word) > horizon:
             break
-        # the closure of vec under all letters; each BFS level adds a member,
-        # so max_states bounds its depth as well
-        closure = reachable_state_family(
-            FuzzyRecognizer(rec.automaton, vec, rec.tau),
-            "forward",
-            max_states=max_states,
-            max_depth=max_states,
-        )
-        if closure.truncated:
-            continue
-        lbar = max(overlap(g, rec.tau) for _, g in closure.members)
-        if lbar < max(vec.entries):
+        if overlap(vec, reach_tau) < max(vec.entries):
             return BlockingVerdict("blocking", word)
-    return BlockingVerdict("undetermined", None)
+    return BlockingVerdict("undetermined" if family.truncated else "nonblocking", None)
 
 
 def conflict_check(

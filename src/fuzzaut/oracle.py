@@ -21,7 +21,7 @@ from .errors import (
     ValidationError,
 )
 from .lattice import ONE, ZERO
-from .relation import FuzzyMatrix, compose_vm, overlap, require_quasi_order
+from .relation import FuzzyMatrix, compose_levels, compose_vm, overlap, require_quasi_order
 
 
 def reference_compose(p: FuzzyMatrix, q: FuzzyMatrix) -> FuzzyMatrix:
@@ -62,26 +62,33 @@ def languages_equal_up_to(a: FuzzyRecognizer, b: FuzzyRecognizer, k: int) -> Equ
     length-then-lexicographic order, with exact value equality.
 
     Walks the word tree breadth-first, extending the state vectors of both
-    recognizers one letter at a time, so each word costs one step."""
+    recognizers one letter at a time, so each word costs one step, on the
+    levels of one (injective) codec; only a divergence is decoded."""
     if a.alphabet != b.alphabet:
         raise AlphabetMismatch(f"{a.alphabet} vs {b.alphabet}")
     if a.lattice != b.lattice:
         raise LatticeMismatch(f"{a.lattice.describe()} vs {b.lattice.describe()}")
     if k < 0:
         raise ValidationError(f"word length bound must be nonnegative, got {k}")
-    mats_a = [a.automaton.delta[x] for x in a.alphabet]
-    mats_b = [b.automaton.delta[x] for x in b.alphabet]
-    frontier = [((), a.sigma, b.sigma)]
+    na, nb = a.n, b.n
+    codec, (sigma_a, tau_a, sigma_b, tau_b, *mats) = a.lattice.encode(
+        a.sigma.entries, a.tau.entries, b.sigma.entries, b.tau.entries,
+        *(a.delta[x].entries for x in a.alphabet),
+        *(b.delta[x].entries for x in b.alphabet),
+    )
+    letters = list(zip(mats, mats[len(a.alphabet) :]))
+    frontier = [((), sigma_a, sigma_b)]
     for _ in range(k + 1):
         nxt = []
         for word, va, vb in frontier:
-            xa = overlap(va, a.tau)
-            xb = overlap(vb, b.tau)
+            xa = compose_levels(codec, va, tau_a, 1, na, 1)
+            xb = compose_levels(codec, vb, tau_b, 1, nb, 1)
             if xa != xb:
-                return EquivalenceVerdict(k, (word, xa, xb))
+                return EquivalenceVerdict(k, (word, *codec.decode(xa + xb)))
             if len(word) < k:
-                for i in range(len(mats_a)):
-                    nxt.append((word + (i,), compose_vm(va, mats_a[i]), compose_vm(vb, mats_b[i])))
+                for i, (ma, mb) in enumerate(letters):
+                    nxt.append((word + (i,), compose_levels(codec, va, ma, 1, na, na),
+                                compose_levels(codec, vb, mb, 1, nb, nb)))
         frontier = nxt
     return EquivalenceVerdict(k, None)
 
@@ -256,21 +263,22 @@ def check_general_system(
     product for every word of length <= k; returns the first witness word
     (length-then-lexicographic) on failure."""
     require_quasi_order(r)
-    mats = [rec.automaton.delta[x] for x in rec.alphabet]
-    frontier = [((), rec.sigma, compose_vm(rec.sigma, r))]
+    n = rec.n
+    # one codec for the whole walk; compose_vm checks R's lattice and size
+    codec, (tau, rl, *mats, sigma, sigma_r) = rec.lattice.encode(
+        rec.tau.entries, r.entries, *(rec.delta[x].entries for x in rec.alphabet),
+        rec.sigma.entries, compose_vm(rec.sigma, r).entries,
+    )
+    step = lambda v, m: compose_levels(codec, v, m, 1, n, n)
+    value = lambda v: compose_levels(codec, v, tau, 1, n, 1)
+    frontier = [((), sigma, sigma_r)]
     for _ in range(k + 1):
         nxt = []
         for word, plain, dressed in frontier:
-            if overlap(dressed, rec.tau) != overlap(plain, rec.tau):
+            if value(dressed) != value(plain):
                 return False, word
             if len(word) < k:
-                for i in range(len(mats)):
-                    nxt.append(
-                        (
-                            word + (i,),
-                            compose_vm(plain, mats[i]),
-                            compose_vm(compose_vm(dressed, mats[i]), r),
-                        )
-                    )
+                for i, m in enumerate(mats):
+                    nxt.append((word + (i,), step(plain, m), step(step(dressed, m), rl)))
         frontier = nxt
     return True, None

@@ -233,6 +233,55 @@ def square_matrices_same_size(lat, count, n=3):
     )
 
 
+# the seven lattices of the kernel tests, with values drawn beyond the pools
+
+LATTICES = {
+    "boolean": Lattice.boolean(),
+    "godel": Lattice.godel(),
+    "product": Lattice.product(),
+    "lukasiewicz": Lattice.lukasiewicz(),
+    "chain1": Lattice.chain(1),
+    "chain4": Lattice.chain(4),
+    "chain7": Lattice.chain(7),
+}
+
+
+def values_of(lat):
+    """Carrier values: any rational for godel (no fixed pool), coprime
+    denominators for lukasiewicz, the grid for chain(n)."""
+    if lat.kind == "boolean":
+        return st.sampled_from([F(0), F(1)])
+    if lat.kind == "chain":
+        return st.integers(0, lat.n).map(lambda k: F(k, lat.n))
+    zero_one = st.sampled_from([F(0), F(1)])
+    if lat.kind == "lukasiewicz":
+        return st.one_of(zero_one, st.sampled_from([F(1, 3), F(2, 7), F(2, 3), F(5, 7)]),
+                         st.fractions(0, 1, max_denominator=12))
+    if lat.kind == "product":
+        return st.one_of(zero_one, st.fractions(0, 1, max_denominator=9))
+    return st.one_of(zero_one, st.fractions(0, 1, max_denominator=1000))
+
+
+def matrices(lat, rows, cols):
+    return st.lists(values_of(lat), min_size=rows * cols, max_size=rows * cols).map(
+        lambda vals: FuzzyMatrix(lat, rows, cols, tuple(vals))
+    )
+
+
+def vectors(lat, n):
+    return st.lists(values_of(lat), min_size=n, max_size=n).map(
+        lambda vals: FuzzyVector(lat, tuple(vals))
+    )
+
+
+@st.composite
+def recognizers(draw, lat, letters=("x", "y"), max_n=4):
+    n = draw(st.integers(1, max_n))
+    delta = {x: draw(matrices(lat, n, n)) for x in letters}
+    automaton = FuzzyAutomaton(lat, tuple(str(i) for i in range(n)), letters, delta)
+    return FuzzyRecognizer(automaton, draw(vectors(lat, n)), draw(vectors(lat, n)))
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240811)

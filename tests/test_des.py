@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzaut import (
     EmptySharedAlphabet,
@@ -15,17 +18,22 @@ from fuzzaut import (
     generate,
     greatest_weakly_invariant,
     input_extension,
+    join,
     natural_projection,
     parallel_compose,
     prefix_closure_at,
     product_compose,
     recognize,
+    transition_of_word,
     words_up_to,
 )
+from fuzzaut.des import bounded_reach_matrix
 
 from conftest import (
     BOOL,
     GODEL,
+    LATTICES,
+    PROD,
     alternating_showcase_recognizer,
     aut,
     blocking_showcase_recognizer,
@@ -33,6 +41,7 @@ from conftest import (
     one_state_sink,
     rand_recognizer,
     rec,
+    recognizers,
     vec,
 )
 
@@ -211,6 +220,28 @@ class TestPrefixClosure:
             assert recognize(recz, w) <= pc <= generate(recz, w)
 
 
+class TestReachMatrix:
+    @pytest.mark.parametrize("name", sorted(LATTICES))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_join_of_word_transitions(self, name, data):
+        letters = ("x", "y")[: data.draw(st.integers(1, 2))]
+        recz = data.draw(recognizers(LATTICES[name], letters))
+        for h in range(5):
+            words = words_up_to(len(letters), h)
+            expected = reduce(join, (transition_of_word(recz, w) for w in words))
+            assert bounded_reach_matrix(recz, h) == expected
+
+    @pytest.mark.parametrize("name", sorted(LATTICES))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_stable_from_n_states(self, name, data):
+        # x * y <= x on every lattice, the product lattice included
+        letters = ("x", "y")[: data.draw(st.integers(1, 2))]
+        recz = data.draw(recognizers(LATTICES[name], letters))
+        assert bounded_reach_matrix(recz, recz.n) == bounded_reach_matrix(recz, recz.n + 2)
+
+
 class TestBlocking:
     def test_showcase_is_nonblocking(self):
         verdict = check_blocking(blocking_showcase_recognizer(), 4)
@@ -235,6 +266,36 @@ class TestBlocking:
         a = rec(aut(PROD, ("x",), mp), vec(PROD, [1, 0]), vec(PROD, [1, 1]))
         verdict = check_blocking(a, 3, max_states=8)
         assert verdict.verdict == "undetermined"
+
+    def test_truncated_family_decides_gap_within_horizon(self):
+        # product lattice: x halves states 0 and 2, so the family never
+        # closes; y leads 0 to 2, from where no word reaches tau
+        x = mat(PROD, [["1/2", 0, 0], [0, 0, 0], [0, 0, "1/2"]])
+        y = mat(PROD, [[0, 0, 1], [0, 0, 0], [0, 0, 0]])
+        a = rec(aut(PROD, ("x", "y"), x, y), vec(PROD, [1, 0, 0]), vec(PROD, [1, 0, 0]))
+        verdict = check_blocking(a, 3, max_states=8)
+        assert verdict.verdict == "blocking"
+        assert verdict.witness == (1,)
+
+    @pytest.mark.parametrize("name", sorted(set(LATTICES) - {"product"}))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_verdict_matches_continuations(self, name, data):
+        letters = ("x", "y")[: data.draw(st.integers(1, 2))]
+        recz = data.draw(recognizers(LATTICES[name], letters))
+        k, n = len(letters), recz.n
+
+        def closure(w):
+            # continuations up to n letters already attain the prefix-closure
+            return max(recognize(recz, w + v) for v in words_up_to(k, n))
+
+        # the horizon bounds truncated families only, and these are finite
+        verdict = check_blocking(recz, 1)
+        if verdict.verdict == "blocking":
+            assert closure(verdict.witness) < generate(recz, verdict.witness)
+        elif verdict.verdict == "nonblocking":
+            for w in words_up_to(k, 3):
+                assert closure(w) == generate(recz, w)
 
 
 class TestConflict:

@@ -53,7 +53,7 @@ class TestLanguagesEqual:
         b = FuzzyRecognizer(a.automaton, a.sigma, vec(BOOL, [0]))
         verdict = languages_equal_up_to(a, b, 3)
         assert not verdict.equal
-        assert verdict.first_divergence[0] == ()
+        assert verdict.first_divergence == ((), 1, 0)
 
     def test_divergence_is_length_lex_first(self):
         rec = general_system_probe_recognizer()
