@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from .automaton import (
     FuzzyAutomaton,
@@ -73,7 +74,21 @@ def _lattice_from_doc(doc) -> Lattice:
         raise ValidationError(str(exc)) from None
 
 
-def _matrix_from_doc(lat: Lattice, rows, n: int, where: str) -> FuzzyMatrix:
+def _value_parser(lat: Lattice):
+    """`lat.parse` that parses each distinct text once: a document repeats
+    a few value texts many times."""
+    parsed: dict[str, Fraction] = {}
+
+    def parse(text: str) -> Fraction:
+        value = parsed.get(text)
+        if value is None:
+            value = parsed[text] = lat.parse(text)
+        return value
+
+    return parse
+
+
+def _matrix_from_doc(lat: Lattice, parse, rows, n: int, where: str) -> FuzzyMatrix:
     if not isinstance(rows, list) or len(rows) != n:
         raise ValidationError(f"{where}: expected {n} rows")
     flat = []
@@ -83,18 +98,18 @@ def _matrix_from_doc(lat: Lattice, rows, n: int, where: str) -> FuzzyMatrix:
         for j, text in enumerate(row):
             if not isinstance(text, str):
                 raise ParseError(f"{where}: entry ({i},{j}) must be a string value")
-            flat.append(lat.parse(text))
+            flat.append(parse(text))
     return FuzzyMatrix(lat, n, n, tuple(flat))
 
 
-def _vector_from_doc(lat: Lattice, values, n: int, where: str) -> FuzzyVector:
+def _vector_from_doc(lat: Lattice, parse, values, n: int, where: str) -> FuzzyVector:
     if not isinstance(values, list) or len(values) != n:
         raise ValidationError(f"{where}: expected {n} entries")
     out = []
     for j, text in enumerate(values):
         if not isinstance(text, str):
             raise ParseError(f"{where}: entry {j} must be a string value")
-        out.append(lat.parse(text))
+        out.append(parse(text))
     return FuzzyVector(lat, tuple(out))
 
 
@@ -119,8 +134,9 @@ def machine_from_document(doc) -> Machine:
     n = len(states)
     if set(doc["delta"]) != set(alphabet):
         raise ValidationError("delta letters must match the alphabet exactly")
+    parse = _value_parser(lat)
     delta = {
-        x: _matrix_from_doc(lat, doc["delta"][x], n, f"delta[{x}]") for x in alphabet
+        x: _matrix_from_doc(lat, parse, doc["delta"][x], n, f"delta[{x}]") for x in alphabet
     }
     aut = FuzzyAutomaton(lat, tuple(states), tuple(alphabet), delta)
     sigma = doc.get("sigma")
@@ -131,8 +147,8 @@ def machine_from_document(doc) -> Machine:
         return aut
     return FuzzyRecognizer(
         aut,
-        _vector_from_doc(lat, sigma, n, "sigma"),
-        _vector_from_doc(lat, tau, n, "tau"),
+        _vector_from_doc(lat, parse, sigma, n, "sigma"),
+        _vector_from_doc(lat, parse, tau, n, "tau"),
     )
 
 
@@ -231,7 +247,11 @@ def _cmd_info(args) -> int:
 def _cmd_reduce(args) -> int:
     machine = load(args.input)
     report = greatest_invariant(
-        machine, args.method, max_iter=args.max_iter, max_states=args.max_states
+        machine,
+        args.method,
+        max_iter=args.max_iter,
+        max_states=args.max_states,
+        max_depth=args.max_depth,
     )
     lat = underlying(machine).lattice
     print(f"method: {report.method}")
@@ -374,6 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--max-iter", type=int, default=256)
     p.add_argument("--max-states", type=int, default=4096)
+    p.add_argument("--max-depth", type=int, default=64)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_reduce)
 

@@ -23,6 +23,21 @@ the same constraint for every vector of the family, whose first member is
 tau (resp. sigma) itself.  The steps, the closed forms and the constraints
 are all meets of residua, each one call of `relation.residual_levels`.
 
+A refinement step makes one composition: [d1; ...; dk; R] o R (right) or
+R o [d1 | ... | dk | R] (left) gives every dx o R (or R o dx), which the
+step's residual reads, and R o R, which the quasi-order check reads before
+the residual is taken.
+
+A reflexive R with R <= R^r satisfies R o dx o R = dx o R (left: R <= R^l
+gives R o dx o R = R o dx).  A converged iterate of an iterative method
+satisfies it (the biresiduum and the crisp part lie below the residuum),
+and so does a closed-form result, since R <= the strongly
+invariant form gives R o dx <= dx.  Their quotients read every letter's
+transitions off one stacked product at the afterset representatives (see
+`_quotient_from_reps`).  Weak methods, unconverged reports and the public
+`afterset_quotient` / `foreset_quotient` compose R o dx o R in full, in two
+products for all letters.
+
 Iterations over locally finite lattices terminate; over the product lattice
 they may not, in which case the report carries the last iterate instead of
 raising.  Every iterate is met with the one before, so the last iterate is
@@ -61,7 +76,7 @@ from .relation import (
     compose_mv,
     leq,
     require_quasi_order,
-    require_quasi_order_levels,
+    require_quasi_order_square,
     residual_levels,
     transpose,
 )
@@ -133,6 +148,11 @@ class _Levels:
         self.codec, levels = aut.lattice.encode(*groups, *(item.entries for item in extra))
         k = len(aut.alphabet)
         self.delta = levels[:k]
+        # row c of the n x kn matrix [d1 | ... | dk], the letters side by side
+        self.delta_rows = [
+            list(chain.from_iterable(d[c * self.n : (c + 1) * self.n] for d in self.delta))
+            for c in range(self.n)
+        ]
         self.sigma, self.tau = (levels[k], levels[k + 1]) if self.recognizer else (None, None)
         self.extra = levels[k + 2 * self.recognizer :]
 
@@ -146,6 +166,17 @@ class _Levels:
 
     def matrix(self, levels: list) -> FuzzyMatrix:
         return FuzzyMatrix(self.aut.lattice, self.n, self.n, self.codec.decode(levels))
+
+
+def _side_by_side(m: list, rows: int, width: int, count: int) -> list:
+    """The blocks B1, ..., Bcount of a flat row-major [B1 | ... | Bcount | C]
+    with `rows` rows, each flat row-major with `width` columns (C, possibly
+    empty, is left out)."""
+    starts = range(0, len(m), len(m) // rows)
+    return [
+        list(chain.from_iterable(m[s + x * width : s + (x + 1) * width] for s in starts))
+        for x in range(count)
+    ]
 
 
 def _transpose_levels(r: list, cols: int) -> list:
@@ -187,12 +218,21 @@ def _step(machine: Machine, r: FuzzyMatrix, side: str, kernel: str) -> FuzzyMatr
 
 
 def _level_step(lv: _Levels, r: list, side: str, kernel: str) -> list:
-    codec, n = lv.codec, lv.n
-    require_quasi_order_levels(codec, r, n)
+    """One refinement step: a single product gives every dx o R (right) or
+    R o dx (left) and R o R, the quasi-order check reads R o R, and the
+    letters' blocks go to `_meet_of_residua`."""
+    codec, n, k = lv.codec, lv.n, len(lv.delta)
     if side == "right":
-        composed = [compose_levels(codec, d, r, n, n, n) for d in lv.delta]
+        # [d1; ...; dk; R] o R: k + 1 stacked n x n blocks
+        out = compose_levels(codec, list(chain(*lv.delta, r)), r, (k + 1) * n, n, n)
+        blocks = [out[x * n * n : (x + 1) * n * n] for x in range(k + 1)]
     else:
-        composed = [compose_levels(codec, r, d, n, n, n) for d in lv.delta]
+        # R o [d1 | ... | dk | R]: row a holds row a of each R o dx, then of R o R
+        rows = enumerate(lv.delta_rows)
+        wide = list(chain.from_iterable(row + r[c * n : (c + 1) * n] for c, row in rows))
+        blocks = _side_by_side(compose_levels(codec, r, wide, n, n, (k + 1) * n), n, n, k + 1)
+    *composed, square = blocks
+    require_quasi_order_square(codec, r, square, n)
     return _meet_of_residua(codec, n, composed, side, kernel)
 
 
@@ -294,7 +334,7 @@ def greatest_invariant(
     if spec.source == "closed":
         closed = _meet_of_residua(codec, n, lv.delta, spec.side, spec.kernel)
         result = list(map(min, current, closed))
-        return _report(lv, method, result, iterates=1, converged=True)
+        return _report(lv, method, result, iterates=1, converged=True, invariant_side=spec.side)
 
     iterates = 1
     converged = False
@@ -308,7 +348,9 @@ def greatest_invariant(
             converged = True
             break
         current = refined
-    return _report(lv, method, current, iterates, converged)
+    # a converged iterate R satisfies R <= R^r (or R^l): it is invariant
+    side = spec.side if converged else None
+    return _report(lv, method, current, iterates, converged, invariant_side=side)
 
 
 def greatest_strongly_invariant(machine: Machine, side: str) -> FuzzyMatrix:
@@ -333,7 +375,9 @@ def greatest_weakly_invariant(
     return greatest_invariant(rec, method, start=start, max_states=max_states, max_depth=max_depth)
 
 
-def _report(lv: _Levels, method, relation, iterates, converged) -> ReductionReport:
+def _report(
+    lv: _Levels, method, relation, iterates, converged, invariant_side=None
+) -> ReductionReport:
     reps = afterset_reps(lv.codec, relation, lv.n)
     quasi_order = lv.matrix(relation)
     return ReductionReport(
@@ -341,7 +385,7 @@ def _report(lv: _Levels, method, relation, iterates, converged) -> ReductionRepo
         iterates=iterates,
         converged=converged,
         quasi_order=quasi_order,
-        quotient=_quotient_from_reps(lv, relation, reps),
+        quotient=_quotient_from_reps(lv, relation, reps, invariant_side),
         state_trace=(lv.n, len(reps)),
         # the iterates descend, so their infimum is the last one
         iterate_infimum=quasi_order,
@@ -352,24 +396,56 @@ def _report(lv: _Levels, method, relation, iterates, converged) -> ReductionRepo
 # quotients
 
 
-def _quotient_from_reps(lv: _Levels, r: list, reps: list[int]) -> Machine:
+def _quotient_from_reps(
+    lv: _Levels, r: list, reps: list[int], invariant_side: str | None = None
+) -> Machine:
     """Transitions R o dx o R, initial sigma o R and terminal R o tau, at the
-    representatives only."""
-    codec, n, k = lv.codec, lv.n, len(reps)
-    aut = lv.aut
-    lat = aut.lattice
+    representatives only, from two products for all letters: R at the
+    representatives' rows times [d1 | ... | dk | tau] gives every R o dx
+    and R o tau there, and [R o d1; ...; R o dk; sigma] times R at their
+    columns gives every R o dx o R and sigma o R.
+
+    A reflexive R that is invariant on `invariant_side` needs one of them.
+    R <= R^r gives R o dx o R = dx o R: the second product alone, with each
+    dx at the representatives' rows in the stack.  R <= R^l gives
+    R o dx o R = R o dx: the first product alone, with each dx at the
+    representatives' columns.  The vector the skipped product would have
+    given takes its own composition."""
+    codec, n, m, k = lv.codec, lv.n, len(reps), len(lv.delta)
+    aut, lat = lv.aut, lv.aut.lattice
     rep_rows = [x for a in reps for x in r[a * n : (a + 1) * n]]
     rep_cols = [r[c * n + b] for c in range(n) for b in reps]
-    delta = {}
-    for x, d in zip(aut.alphabet, lv.delta):
-        rd = compose_levels(codec, rep_rows, d, k, n, n)
-        delta[x] = FuzzyMatrix(lat, k, k, codec.decode(compose_levels(codec, rd, rep_cols, k, n, k)))
+    sigma = tau = None
+    if invariant_side == "right":
+        rows = [x for d in lv.delta for a in reps for x in d[a * n : (a + 1) * n]]
+    else:
+        cols = reps if invariant_side == "left" else range(n)
+        picked = [x * n + b for x in range(k) for b in cols]
+        wide = []
+        for c, row in enumerate(lv.delta_rows):
+            wide += [row[j] for j in picked]
+            if lv.recognizer:
+                wide.append(lv.tau[c])
+        out = compose_levels(codec, rep_rows, wide, m, n, len(wide) // n)
+        blocks = _side_by_side(out, m, len(cols), k)
+        if lv.recognizer:
+            tau = out[len(picked) :: len(picked) + 1]
+        rows = list(chain.from_iterable(blocks))
+    if invariant_side != "left":
+        stacked = rows + lv.sigma if lv.recognizer else rows
+        out = compose_levels(codec, stacked, rep_cols, len(stacked) // n, n, m)
+        blocks = [out[x * m * m : (x + 1) * m * m] for x in range(k)]
+        if lv.recognizer:
+            sigma = out[k * m * m :]
+    delta = {x: FuzzyMatrix(lat, m, m, codec.decode(b)) for x, b in zip(aut.alphabet, blocks)}
     names = tuple(f"Q{aut.states[i]}" for i in reps)
     quotient_aut = FuzzyAutomaton(lat, names, aut.alphabet, delta)
     if not lv.recognizer:
         return quotient_aut
-    sigma = compose_levels(codec, lv.sigma, rep_cols, 1, n, k)
-    tau = compose_levels(codec, rep_rows, lv.tau, k, n, 1)
+    if sigma is None:
+        sigma = compose_levels(codec, lv.sigma, rep_cols, 1, n, m)
+    if tau is None:
+        tau = compose_levels(codec, rep_rows, lv.tau, m, n, 1)
     return FuzzyRecognizer(
         quotient_aut, FuzzyVector(lat, codec.decode(sigma)), FuzzyVector(lat, codec.decode(tau))
     )

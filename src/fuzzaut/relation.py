@@ -30,6 +30,10 @@ form.  The reduction's steps, closed forms and constraints and
 `from_fuzzy_set_right` all use it.  The reduction driver keeps its
 relations as levels across a whole iteration.  `oracle.reference_compose`
 is the `Fraction` route the kernel is tested against.
+
+The quasi-order check on levels reads r o r: `require_quasi_order_levels`
+composes it and hands it to `require_quasi_order_square`, which a caller
+whose own product already holds r o r (a refinement step) calls directly.
 """
 
 from __future__ import annotations
@@ -426,10 +430,16 @@ def require_quasi_order(r: FuzzyMatrix) -> FuzzyMatrix:
 def require_quasi_order_levels(codec: Codec, r: list, n: int) -> None:
     """Raise NotQuasiOrder unless the n x n level relation r is reflexive
     and transitive (r o r <= r)."""
+    require_quasi_order_square(codec, r, compose_levels(codec, r, r, n, n, n), n)
+
+
+def require_quasi_order_square(codec: Codec, r: list, square: list, n: int) -> None:
+    """`require_quasi_order_levels` with the square r o r given: for a
+    caller whose own product already holds it."""
     missing = []
     if any(r[i * n + i] != codec.top for i in range(n)):
         missing.append("reflexive")
-    if not all(map(le, compose_levels(codec, r, r, n, n, n), r)):
+    if not all(map(le, square, r)):
         missing.append("transitive")
     if missing:
         raise NotQuasiOrder(f"relation is not {' or '.join(missing)}")

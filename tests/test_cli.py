@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fuzzaut import FuzzyRecognizer, ValidationError, greatest_invariant
+from fuzzaut import FuzzyRecognizer, Lattice, ParseError, ValidationError, greatest_invariant
 from fuzzaut.cli import (
     dumps,
     load,
@@ -95,6 +95,24 @@ class TestDocuments:
         assert main(["info", write(tmp_path, "a.json", doc)]) == 0
         assert "lattice: chain(4)" in capsys.readouterr().out
 
+    def test_each_distinct_value_text_parsed_once(self, monkeypatch):
+        texts = []
+        original = Lattice.parse
+        counted = lambda lat, text: texts.append(text) or original(lat, text)  # noqa: E731
+        monkeypatch.setattr(Lattice, "parse", counted)
+        doc = machine_to_document(blocking_showcase_recognizer())
+        machine = machine_from_document(doc)
+        assert machine == blocking_showcase_recognizer()
+        assert sorted(texts) == ["0", "1"]
+
+    def test_repeated_bad_value_rejected_at_every_entry(self):
+        # the first bad text raises; a repeated good text is no excuse for
+        # skipping the string check of a later entry
+        doc = json.loads(json.dumps(SHOWCASE_DOC))
+        doc["delta"]["y"][2][2] = 0
+        with pytest.raises(ParseError, match=r"delta\[y\]: entry \(2,2\) must be a string"):
+            machine_from_document(doc)
+
     def test_huge_decimal_exponent_rejected(self, tmp_path, capsys):
         doc = dict(SHOWCASE_DOC, lattice={"kind": "godel"})
         tiny = [["1e-3000000", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]
@@ -152,6 +170,18 @@ class TestCommands:
         path = write(tmp_path, "a.json", SHOWCASE_DOC)
         assert main(["reduce", "--method", "ri", "--input", path, "--max-iter", "0"]) == 2
         assert "max_iter must be at least 1" in capsys.readouterr().err
+
+    def test_reduce_max_depth(self, tmp_path, capsys):
+        path = str(tmp_path / "a.json")
+        save(tau_chain_recognizer(), path)
+        reduce_wri = ["reduce", "--method", "wri", "--input", path]
+        # depth 0 truncates the family, so the result is not converged
+        assert main(reduce_wri + ["--max-depth", "0"]) == 3
+        assert "converged: false" in capsys.readouterr().out
+        assert main(reduce_wri) == 0
+        assert "converged: true" in capsys.readouterr().out
+        assert main(reduce_wri + ["--max-depth", "-1"]) == 2
+        assert "max_depth must be nonnegative" in capsys.readouterr().err
 
     def test_reduce_cli_method_alias(self, tmp_path, capsys):
         path = write(tmp_path, "a.json", SHOWCASE_DOC)

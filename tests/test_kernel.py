@@ -20,7 +20,10 @@ from hypothesis import strategies as st
 from fuzzaut import (
     FuzzyAutomaton,
     FuzzyMatrix,
+    FuzzyRecognizer,
     FuzzyVector,
+    afterset_quotient,
+    aftersets,
     compose,
     compose_mv,
     compose_vm,
@@ -35,7 +38,7 @@ from fuzzaut import (
 )
 from fuzzaut.lattice import ONE, ZERO
 from fuzzaut.oracle import reference_compose
-from fuzzaut.reduction import l_step, leq_step, r_step, req_step
+from fuzzaut.reduction import METHODS, l_step, leq_step, r_step, req_step
 from fuzzaut.relation import residual_levels
 
 from conftest import LATTICES, mat, matrices, recognizers, values_of, vectors
@@ -269,6 +272,42 @@ def test_vector_compositions_match_reference(name, data):
     assert compose_vm(f, p).entries == reference_compose(as_row(f), p).entries
     assert compose_mv(q, f).entries == reference_compose(q, as_col(f)).entries
     assert overlap(f, g) == reference_compose(as_row(f), as_col(g))[0, 0]
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_report_quotients_match_the_general_quotient(name, data):
+    """A converged iterative or closed-form report reads its quotient off
+    dx o R (or R o dx); every non-weak report's quotient, converged or not,
+    must be R o dx o R, sigma o R and R o tau at the representatives."""
+    lat = LATTICES[name]
+    n = data.draw(st.integers(1, 6))
+    letters = ("x", "y", "z")[: data.draw(st.integers(1, 3))]
+    delta = {x: data.draw(matrices(lat, n, n)) for x in letters}
+    machine = FuzzyAutomaton(lat, tuple(str(i) for i in range(n)), letters, delta)
+    if data.draw(st.booleans()):
+        sigma, tau = data.draw(vectors(lat, n)), data.draw(vectors(lat, n))
+        machine = FuzzyRecognizer(machine, sigma, tau)
+    # a small cap leaves some runs unconverged, on the product lattice most
+    max_iter = data.draw(st.sampled_from([2, 3, 12]))
+    for method, spec in METHODS.items():
+        if spec.source == "weak":
+            continue
+        report = greatest_invariant(machine, method, max_iter=max_iter)
+        r = report.quasi_order
+        assert report.quotient == afterset_quotient(machine, r)
+        reps = [a for a, _ in aftersets(r)]
+        at_reps = lambda m: tuple(m[a, b] for a in reps for b in reps)  # noqa: E731
+        quotient = underlying(report.quotient)
+        for x in letters:
+            expected = at_reps(reference_compose(reference_compose(r, delta[x]), r))
+            assert quotient.delta[x].entries == expected
+        if isinstance(machine, FuzzyRecognizer):
+            sigma = reference_compose(as_row(machine.sigma), r)
+            tau = reference_compose(r, as_col(machine.tau))
+            assert report.quotient.sigma.entries == tuple(sigma[0, b] for b in reps)
+            assert report.quotient.tau.entries == tuple(tau[a, 0] for a in reps)
 
 
 def reference_member(rec, direction, word):

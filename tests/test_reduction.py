@@ -27,6 +27,8 @@ from fuzzaut import (
     quotient_quasi_order,
     r_step,
 )
+from fuzzaut import reduction
+from fuzzaut.reduction import leq_step, req_step
 from fuzzaut.oracle import check_general_system, languages_equal_up_to
 from fuzzaut.reduction import is_invariant
 
@@ -75,6 +77,37 @@ class TestRStep:
         a = product_nonterminating()
         with pytest.raises(NotQuasiOrder):
             r_step(a, mat(PROD, [[0, 1], [1, 0]]))
+
+    @pytest.mark.parametrize("lat", [BOOL, GODEL, CHAIN4, PROD])
+    @pytest.mark.parametrize("step", [r_step, l_step, req_step, leq_step])
+    def test_check_reads_the_square_block(self, lat, step):
+        # the one letter is the identity, so dx o R = R o dx = R and only
+        # the R o R block of the step's product can reject R
+        a = aut(lat, ("x",), FuzzyMatrix.identity(lat, 3))
+        v = 1 if lat == BOOL else "3/4"  # v * v > 0 on every lattice here
+        not_transitive = mat(lat, [[1, v, 0], [0, 1, v], [0, 0, 1]])
+        with pytest.raises(NotQuasiOrder, match="^relation is not transitive$"):
+            step(a, not_transitive)
+        not_reflexive = mat(lat, [[0, v, v], [0, v, v], [0, 0, 1]])
+        with pytest.raises(NotQuasiOrder, match="^relation is not reflexive$"):
+            step(a, not_reflexive)
+
+    def test_one_product_per_step_and_per_invariant_quotient(self, monkeypatch, rng):
+        calls = []
+        original = reduction.compose_levels
+        counted = lambda *args: calls.append(args) or original(*args)  # noqa: E731
+        monkeypatch.setattr(reduction, "compose_levels", counted)
+        a = rand_recognizer(rng, GODEL, 6).automaton
+        for step in (r_step, l_step, req_step, leq_step):
+            calls.clear()
+            step(a, FuzzyMatrix.universal(GODEL, 6))
+            assert len(calls) == 1
+        for method in ("ri", "li", "rie", "cli_crisp", "sri", "sli"):
+            calls.clear()
+            report = greatest_invariant(a, method)
+            assert report.converged
+            # one product per step after the first iterate, one for the quotient
+            assert len(calls) == report.iterates
 
     def test_monotone(self, rng):
         a = rand_recognizer(rng, GODEL, 4).automaton
