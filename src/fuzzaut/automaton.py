@@ -133,22 +133,23 @@ def transition_of_word(machine: Machine, word: Word) -> FuzzyMatrix:
     return result
 
 
-def recognize(rec: FuzzyRecognizer, word: Word) -> Fraction:
-    """Membership degree of the word: sigma o delta_u o tau."""
+def state_after(rec: FuzzyRecognizer, word: Word) -> FuzzyVector:
+    """The fuzzy state sigma o delta_u the word drives the recognizer to."""
     check_word(rec, word)
     v = rec.sigma
     for i in word:
         v = compose_vm(v, rec.matrix(i))
-    return overlap(v, rec.tau)
+    return v
+
+
+def recognize(rec: FuzzyRecognizer, word: Word) -> Fraction:
+    """Membership degree of the word: sigma o delta_u o tau."""
+    return overlap(state_after(rec, word), rec.tau)
 
 
 def generate(rec: FuzzyRecognizer, word: Word) -> Fraction:
     """Degree to which the word drives some initial state anywhere at all."""
-    check_word(rec, word)
-    v = rec.sigma
-    for i in word:
-        v = compose_vm(v, rec.matrix(i))
-    return max(v.entries)
+    return max(state_after(rec, word).entries)
 
 
 def reverse(machine: Machine) -> Machine:
@@ -223,18 +224,12 @@ def are_isomorphic(a: Machine, b: Machine, max_states: int = 12) -> tuple[int, .
         for j in candidates[i]:
             if used[j]:
                 continue
-            ok = True
-            for ma, mb in zip(mats_a, mats_b):
-                if ma[i, i] != mb[j, j]:
-                    ok = False
-                    break
-                for k, l in phi.items():
-                    if ma[i, k] != mb[j, l] or ma[k, i] != mb[l, j]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
+            # the diagonal entries already match through the fingerprints
+            if not all(
+                ma[i, k] == mb[j, l] and ma[k, i] == mb[l, j]
+                for ma, mb in zip(mats_a, mats_b)
+                for k, l in phi.items()
+            ):
                 continue
             phi[i] = j
             used[j] = True

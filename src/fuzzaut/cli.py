@@ -163,6 +163,13 @@ def load(path: str) -> Machine:
     return machine_from_document(doc)
 
 
+def _load_recognizer(path: str) -> FuzzyRecognizer:
+    machine = load(path)
+    if not isinstance(machine, FuzzyRecognizer):
+        raise ValidationError(f"{path}: needs a recognizer (sigma and tau present)")
+    return machine
+
+
 def _lattice_doc(lat: Lattice):
     return {"kind": lat.kind, "n": lat.n} if lat.kind == "chain" else {"kind": lat.kind}
 
@@ -289,10 +296,8 @@ def _cmd_alternate(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
-    a = load(args.left)
-    b = load(args.right)
-    if not isinstance(a, FuzzyRecognizer) or not isinstance(b, FuzzyRecognizer):
-        raise ValidationError("equiv needs two recognizers (sigma and tau present)")
+    a = _load_recognizer(args.left)
+    b = _load_recognizer(args.right)
     verdict = languages_equal_up_to(a, b, args.max_len)
     if verdict.equal:
         print(f"equal up to {args.max_len}")
@@ -307,9 +312,7 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_determinize(args) -> int:
-    machine = load(args.input)
-    if not isinstance(machine, FuzzyRecognizer):
-        raise ValidationError("determinize needs a recognizer")
+    machine = _load_recognizer(args.input)
     direction = "forward" if args.direction == "fwd" else "reverse"
     family = reachable_state_family(
         machine, direction, max_states=args.max_states, max_depth=args.max_depth
@@ -339,13 +342,6 @@ def _cmd_determinize(args) -> int:
             fh.write(dumps(doc))
         print(f"family written to {args.output}")
     return 0 if family.complete else 3
-
-
-def _load_recognizer(path: str) -> FuzzyRecognizer:
-    machine = load(path)
-    if not isinstance(machine, FuzzyRecognizer):
-        raise ValidationError(f"{path}: needs a recognizer (sigma and tau present)")
-    return machine
 
 
 def _cmd_des(args) -> int:
@@ -450,9 +446,6 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, ValidationError, LatticeValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except FuzzautError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

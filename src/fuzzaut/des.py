@@ -20,8 +20,8 @@ from .automaton import (
     FuzzyAutomaton,
     FuzzyRecognizer,
     Word,
-    check_word,
     reachable_state_family,
+    state_after,
 )
 from .errors import (
     EmptySharedAlphabet,
@@ -177,10 +177,7 @@ def prefix_closure_at(rec: FuzzyRecognizer, word: Word, horizon: int) -> Fractio
     as it always is for horizon >= n - 1."""
     if horizon < 0:
         raise ValidationError("horizon must be nonnegative")
-    check_word(rec, word)
-    v = rec.sigma
-    for i in word:
-        v = compose_vm(v, rec.matrix(i))
+    v = state_after(rec, word)
     reach = bounded_reach_matrix(rec, horizon)
     return overlap(compose_vm(v, reach), rec.tau)
 

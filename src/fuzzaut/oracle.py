@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .automaton import FuzzyRecognizer, FuzzyStateFamily, Machine, Word, underlying
+from .automaton import FuzzyAutomaton, FuzzyRecognizer, FuzzyStateFamily, Machine, Word, underlying
 from .errors import (
     AlphabetMismatch,
     DimensionMismatch,
@@ -21,7 +21,7 @@ from .errors import (
     ValidationError,
 )
 from .lattice import ONE, ZERO
-from .relation import FuzzyMatrix, compose_levels, compose_vm, overlap, require_quasi_order
+from .relation import FuzzyMatrix, compose, compose_levels, compose_vm, overlap, require_quasi_order
 
 
 def reference_compose(p: FuzzyMatrix, q: FuzzyMatrix) -> FuzzyMatrix:
@@ -123,18 +123,7 @@ def _crisp_quasi_orders(n: int) -> tuple[tuple[int, ...], ...]:
             if bits >> k & 1:
                 rows[i] |= 1 << j
         # transitive iff every successor's row is contained in mine
-        ok = True
-        for i in range(n):
-            acc = 0
-            m = rows[i]
-            while m:
-                j = (m & -m).bit_length() - 1
-                acc |= rows[j]
-                m &= m - 1
-            if acc & ~rows[i]:
-                ok = False
-                break
-        if ok:
+        if not any(_bit_apply(row, rows) & ~row for row in rows):
             out.append(tuple(rows))
     return tuple(out)
 
@@ -163,19 +152,6 @@ def _as_bitrows(m: FuzzyMatrix) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def _bit_compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    out = []
-    for row in p:
-        acc = 0
-        m = row
-        while m:
-            j = (m & -m).bit_length() - 1
-            acc |= q[j]
-            m &= m - 1
-        out.append(acc)
-    return tuple(out)
-
-
 def _bit_apply(vec: int, p: tuple[int, ...]) -> int:
     # image of a state set under a relation: union of successor rows
     acc = 0
@@ -185,6 +161,10 @@ def _bit_apply(vec: int, p: tuple[int, ...]) -> int:
         acc |= p[j]
         m &= m - 1
     return acc
+
+
+def _bit_compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(_bit_apply(row, q) for row in p)
 
 
 def brute_force_greatest_invariant(machine: Machine, side: str) -> FuzzyMatrix:
@@ -261,24 +241,15 @@ def check_general_system(
 ) -> tuple[bool, Word | None]:
     """Verify sigma o R o dx1 o R o ... o R o dxn o R o tau equals the plain
     product for every word of length <= k; returns the first witness word
-    (length-then-lexicographic) on failure."""
+    (length-then-lexicographic) on failure.
+
+    The left-hand side is the language of the R-dressed recognizer
+    (sigma o R, dx o R, tau), so this is a bounded language comparison."""
     require_quasi_order(r)
-    n = rec.n
-    # one codec for the whole walk; compose_vm checks R's lattice and size
-    codec, (tau, rl, *mats, sigma, sigma_r) = rec.lattice.encode(
-        rec.tau.entries, r.entries, *(rec.delta[x].entries for x in rec.alphabet),
-        rec.sigma.entries, compose_vm(rec.sigma, r).entries,
-    )
-    step = lambda v, m: compose_levels(codec, v, m, 1, n, n)
-    value = lambda v: compose_levels(codec, v, tau, 1, n, 1)
-    frontier = [((), sigma, sigma_r)]
-    for _ in range(k + 1):
-        nxt = []
-        for word, plain, dressed in frontier:
-            if value(dressed) != value(plain):
-                return False, word
-            if len(word) < k:
-                for i, m in enumerate(mats):
-                    nxt.append((word + (i,), step(plain, m), step(step(dressed, m), rl)))
-        frontier = nxt
-    return True, None
+    delta = {x: compose(m, r) for x, m in rec.delta.items()}
+    aut = FuzzyAutomaton(rec.lattice, rec.states, rec.alphabet, delta)
+    dressed = FuzzyRecognizer(aut, compose_vm(rec.sigma, r), rec.tau)
+    verdict = languages_equal_up_to(rec, dressed, k)
+    if verdict.equal:
+        return True, None
+    return False, verdict.first_divergence[0]

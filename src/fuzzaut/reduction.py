@@ -298,6 +298,10 @@ def greatest_invariant(
         raise ValidationError(f"method {method} needs a recognizer")
     if max_iter < 1:
         raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
+    if max_states < 1:
+        raise ValidationError("max_states must be at least 1")
+    if max_depth < 0:
+        raise ValidationError("max_depth must be nonnegative")
     starts = ()
     if start is not None:
         aut = underlying(machine)

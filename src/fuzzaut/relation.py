@@ -61,7 +61,8 @@ class FuzzyVector:
     entries: tuple[Fraction, ...]
 
     def __post_init__(self):
-        for x in self.entries:
+        # one check per distinct entry object: parsed and decoded values repeat
+        for x in {id(x): x for x in self.entries}.values():
             self.lattice.validate(x)
 
     def __len__(self) -> int:
@@ -98,7 +99,8 @@ class FuzzyMatrix:
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries, "
                 f"got {len(self.entries)}"
             )
-        for x in self.entries:
+        # one check per distinct entry object: parsed and decoded values repeat
+        for x in {id(x): x for x in self.entries}.values():
             self.lattice.validate(x)
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:

@@ -293,6 +293,15 @@ class TestCommands:
         assert code == 2
         assert "max_depth must be nonnegative" in capsys.readouterr().err
 
+    def test_reduce_caps_checked_for_plain_method(self, tmp_path, capsys):
+        save(tau_chain_recognizer(), str(tmp_path / "a.json"))
+        code = main(
+            ["reduce", "--method", "ri", "--input", str(tmp_path / "a.json"),
+             "--max-states", "0", "--max-depth", "-1"]
+        )
+        assert code == 2
+        assert "max_states must be at least 1" in capsys.readouterr().err
+
     def test_des_blocking_and_conflict(self, tmp_path, capsys):
         rec = blocking_showcase_recognizer()
         save(rec, str(tmp_path / "a.json"))

@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzaut import (
     AlphabetMismatch,
@@ -19,11 +22,14 @@ from fuzzaut import (
     languages_equal_up_to,
     natural_equivalence,
     transitive_closure,
+    words_up_to,
 )
+from fuzzaut.oracle import reference_compose
 
 from conftest import (
     BOOL,
     GODEL,
+    LATTICES,
     alternating_showcase_recognizer,
     automaton_ri_beats_rie,
     general_system_probe_recognizer,
@@ -33,6 +39,8 @@ from conftest import (
     one_state_sink,
     rand_automaton,
     rand_recognizer,
+    recognizers,
+    values_of,
     vec,
 )
 
@@ -155,3 +163,40 @@ class TestGeneralSystem:
             if check_general_system(rec, q, 6)[0]
         ]
         assert counts and min(counts) == 3
+
+
+def reference_general_system(rec, r, k):
+    """Word by word with `reference_compose`: sigma o R o dx1 o R o ... o R o
+    tau against sigma o dx1 o ... o tau, in length-then-lex order."""
+    lat, n = rec.lattice, rec.n
+    sigma = FuzzyMatrix(lat, 1, n, rec.sigma.entries)
+    tau = FuzzyMatrix(lat, n, 1, rec.tau.entries)
+    for word in words_up_to(len(rec.alphabet), k):
+        plain, dressed = sigma, reference_compose(sigma, r)
+        for i in word:
+            plain = reference_compose(plain, rec.matrix(i))
+            dressed = reference_compose(reference_compose(dressed, rec.matrix(i)), r)
+        if reference_compose(plain, tau) != reference_compose(dressed, tau):
+            return False, word
+    return True, None
+
+
+@st.composite
+def general_systems(draw, lat):
+    """A recognizer, the transitive closure of a reflexive random relation
+    and a length bound k <= 3."""
+    rec = draw(recognizers(lat))
+    n = rec.n
+    entries = [F(1) if i == j else draw(values_of(lat)) for i in range(n) for j in range(n)]
+    r = transitive_closure(FuzzyMatrix(lat, n, n, tuple(entries)))
+    return rec, r, draw(st.integers(0, 3))
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_general_system_matches_word_by_word_reference(name, data):
+    rec, r, k = data.draw(general_systems(LATTICES[name]))
+    assert check_general_system(rec, r, k) == reference_general_system(rec, r, k)
+    with pytest.raises(ValidationError):
+        check_general_system(rec, r, -1)

@@ -216,6 +216,14 @@ class TestGreatestInvariant:
         with pytest.raises(ValidationError):
             greatest_invariant(automaton_ri_beats_rie(), "wri")
 
+    @pytest.mark.parametrize("method", sorted(reduction.METHODS))
+    def test_family_caps_checked_for_every_method(self, method):
+        rec = tau_chain_recognizer()
+        with pytest.raises(ValidationError, match="max_states must be at least 1"):
+            greatest_invariant(rec, method, max_states=0)
+        with pytest.raises(ValidationError, match="max_depth must be nonnegative"):
+            greatest_invariant(rec, method, max_depth=-1)
+
 
 class TestStronglyInvariant:
     def test_showcase(self):

@@ -8,6 +8,7 @@ from fuzzaut import (
     FuzzyMatrix,
     FuzzyVector,
     LatticeMismatch,
+    LatticeValueError,
     NotQuasiOrder,
     aftersets,
     compose,
@@ -45,6 +46,24 @@ from conftest import (
 
 def worked_quasi_order():
     return mat(GODEL, [[1, "3/10", "3/10"], [0, 1, "1/5"], [0, 1, 1]])
+
+
+class TestEntryValidation:
+    def test_repeated_off_carrier_object_rejected(self):
+        half = F(1, 2)
+        with pytest.raises(LatticeValueError):
+            FuzzyMatrix(BOOL, 2, 2, (half,) * 4)
+        with pytest.raises(LatticeValueError):
+            FuzzyVector(BOOL, (half, half))
+        # the first bad entry still raises first
+        with pytest.raises(LatticeValueError, match="1/2"):
+            FuzzyVector(BOOL, (F(0), half, F(3), half))
+
+    def test_int_entry_rejected(self):
+        with pytest.raises(LatticeValueError, match="expected Fraction"):
+            FuzzyMatrix(BOOL, 1, 2, (F(0), 1))
+        with pytest.raises(LatticeValueError, match="expected Fraction"):
+            FuzzyVector(GODEL, (F(1), 0))
 
 
 class TestCompose:
