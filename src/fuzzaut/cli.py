@@ -120,8 +120,10 @@ def machine_from_document(doc) -> Machine:
     for field in ("version", "lattice", "states", "alphabet", "delta"):
         if field not in doc:
             raise ParseError(f"missing field {field!r}")
-    if doc["version"] != SCHEMA_VERSION:
-        raise ParseError(f"unsupported schema version {doc['version']!r}")
+    version = doc["version"]
+    # True == 1 and 1.0 == 1: only the integer itself names the schema
+    if isinstance(version, bool) or not isinstance(version, int) or version != SCHEMA_VERSION:
+        raise ParseError(f"unsupported schema version {version!r}")
     lat = _lattice_from_doc(doc["lattice"])
     states = doc["states"]
     alphabet = doc["alphabet"]

@@ -23,10 +23,33 @@ the same constraint for every vector of the family, whose first member is
 tau (resp. sigma) itself.  The steps, the closed forms and the constraints
 are all meets of residua, each one call of `relation.residual_levels`.
 
-A refinement step makes one composition: [d1; ...; dk; R] o R (right) or
-R o [d1 | ... | dk | R] (left) gives every dx o R (or R o dx), which the
-step's residual reads, and R o R, which the quasi-order check reads before
-the residual is taken.
+The left iteration is the right one on the transposed letters and R:
+(R^l)^T = (R^T)^r over the letters dx^T, so the driver transposes once on
+entry and once on exit.  A right step makes one composition,
+[d1; ...; dk; R] o R, which gives every dx o R, read by the step's
+residual, and R o R, read by the quasi-order check before the residual is
+taken.
+
+Each step refines only what changed.  A column c that R_(i+1) =
+R_i meet R_i^r shares with R_i gives the same column c of every dx o R,
+so its terms (dx o R)(b,c) -> (dx o R)(a,c) are at least R_i^r >= R_(i+1)
+and leave the next meet unchanged: R_(i+2) is R_(i+1) met with the terms
+of the changed columns alone.  This holds for the biresiduum too, and for
+the crisp methods, whose iterates are crisp.  Within those columns a step
+keeps one column of each class of equal columns (equal columns of R give
+equal columns of every product, hence equal terms), and, the meet being
+idempotent, runs the residual on the distinct rows of
+[d1 o R | ... | dk o R] there and expands it.  (Joining the stack's
+columns over classes of equal rows of R before the product is exact too,
+since * distributes over the join, but once equal columns are dropped it
+cost more than the product it saved.)  Every iterate of the plain
+iteration is still computed, bit for bit.  The
+check reads R o R at the changed columns only, and stays complete: at an
+unchanged column b, R_(i+1) <= R_i and the earlier check give
+(R_(i+1) o R_(i+1))(.,b) <= (R_i o R_i)(.,b) <= R_i(.,b) = R_(i+1)(.,b).
+So a converged iterate has been checked by its last step, and its report
+takes the afterset representatives without a product of its own.  The
+public `r_step`, `l_step`, `req_step` and `leq_step` compute the full step.
 
 A reflexive R with R <= R^r satisfies R o dx o R = dx o R (left: R <= R^l
 gives R o dx o R = R o dx).  A converged iterate of an iterative method
@@ -48,6 +71,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from operator import attrgetter, is_not, itemgetter
 
 from .automaton import (
     FuzzyAutomaton,
@@ -80,6 +104,9 @@ from .relation import (
     residual_levels,
     transpose,
 )
+
+
+_NUM_DEN = attrgetter("numerator", "denominator")
 
 
 @dataclass(frozen=True)
@@ -181,7 +208,7 @@ def _side_by_side(m: list, rows: int, width: int, count: int) -> list:
 
 def _transpose_levels(r: list, cols: int) -> list:
     """The transpose of a flat row-major level matrix with `cols` columns."""
-    return [x for j in range(cols) for x in r[j::cols]]
+    return list(chain.from_iterable(r[j::cols] for j in range(cols)))
 
 
 def _crisp_levels(codec: Codec, r: list) -> list:
@@ -218,22 +245,88 @@ def _step(machine: Machine, r: FuzzyMatrix, side: str, kernel: str) -> FuzzyMatr
 
 
 def _level_step(lv: _Levels, r: list, side: str, kernel: str) -> list:
-    """One refinement step: a single product gives every dx o R (right) or
-    R o dx (left) and R o R, the quasi-order check reads R o R, and the
-    letters' blocks go to `_meet_of_residua`."""
-    codec, n, k = lv.codec, lv.n, len(lv.delta)
+    """The full step R^r (or R^l): the right step at every column, the left
+    one as the right step on the transposed letters and R, transposed back."""
+    n, letters, everything = lv.n, _letters(lv, side), range(lv.n)
     if side == "right":
-        # [d1; ...; dk; R] o R: k + 1 stacked n x n blocks
-        out = compose_levels(codec, list(chain(*lv.delta, r)), r, (k + 1) * n, n, n)
-        blocks = [out[x * n * n : (x + 1) * n * n] for x in range(k + 1)]
-    else:
-        # R o [d1 | ... | dk | R]: row a holds row a of each R o dx, then of R o R
-        rows = enumerate(lv.delta_rows)
-        wide = list(chain.from_iterable(row + r[c * n : (c + 1) * n] for c, row in rows))
-        blocks = _side_by_side(compose_levels(codec, r, wide, n, n, (k + 1) * n), n, n, k + 1)
-    *composed, square = blocks
-    require_quasi_order_square(codec, r, square, n)
-    return _meet_of_residua(codec, n, composed, side, kernel)
+        return _right_step(lv.codec, n, letters, r, everything, kernel)
+    step = _right_step(lv.codec, n, letters, _transpose_levels(r, n), everything, kernel)
+    return _transpose_levels(step, n)
+
+
+def _letters(lv: _Levels, side: str) -> list:
+    """Column c of the stacked letters [d1; ...; dk] that the right step of
+    `side` reads, for each state c.  The left side reads the transposed
+    letters, and column c of dx^T is row c of dx."""
+    if side == "left":
+        return lv.delta_rows
+    n = lv.n
+    return [list(chain.from_iterable(d[c::n] for d in lv.delta)) for c in range(n)]
+
+
+def _right_step(codec: Codec, n: int, letters: list, r: list, cols, kernel: str) -> list:
+    """The meet over letters x and the columns c in `cols` of
+    (dx o R)(b,c) op (dx o R)(a,c) at (a,b), op the kernel: R^r when cols
+    holds every column, and in the driver the terms of the columns that
+    changed in the last iterate (see the module docstring).  `letters`
+    holds the columns of [d1; ...; dk].  R is checked to be reflexive and,
+    at `cols`, transitive first.
+
+    One product, [d1; ...; dk; R] o R at cols, gives every dx o R and R o R
+    there.  It is taken transposed, (R at cols)^T o [d1; ...; dk; R]^T, so
+    that each row of the result holds one column of every dx o R and of
+    R o R.  Equal columns of R give equal columns of the product, so one of
+    each is kept.  The meet is idempotent, so the residual runs on the
+    distinct rows of [d1 o R | ... | dk o R] at cols and is expanded."""
+    key = _row_key(codec)
+    # the columns of R at cols, one of each class of equal columns
+    at_cols = [r[b::n] for b in cols]
+    at_cols = list(dict(zip(map(key, at_cols), at_cols)).values())
+    k, w, h = len(letters[0]) // n, len(at_cols), len(letters[0]) + n
+    bound = list(chain.from_iterable(at_cols))
+    # row c of [d1; ...; dk; R]^T: column c of each dx, then of R
+    stack = list(chain.from_iterable(letters[c] + r[c::n] for c in range(n)))
+    out = compose_levels(codec, bound, stack, w, n, h)
+    # row b of out: column b of each dx o R, then of R o R
+    square = chain.from_iterable(out[b * h + k * n : (b + 1) * h] for b in range(w))
+    require_quasi_order_square(codec, r, list(square), n, bound)
+    columns = [out[b * h + x * n : b * h + (x + 1) * n] for b in range(w) for x in range(k)]
+    state_class, distinct = _classes(codec, list(zip(*columns)))
+    m = len(distinct)
+    if m < n:
+        columns = zip(*distinct)
+    # the residual of the transposed distinct rows: (i, j) -> the step at (j, i)
+    columns = list(chain.from_iterable(columns))
+    out = residual_levels(codec, kernel, columns, columns, k * w, m, m)
+    if m == n:
+        return _transpose_levels(out, n)
+    pick = itemgetter(*state_class)
+    lines = [pick(out[i::m]) for i in range(m)]
+    return list(chain.from_iterable(lines[i] for i in state_class))
+
+
+def _row_key(codec: Codec):
+    """Row -> its hash key: the tuple of its levels, or on the product codec
+    of their (numerator, denominator) pairs, since hashing a `Fraction`
+    costs several times more, and more as its denominator grows."""
+    if codec.family == "product":
+        return lambda row: tuple(map(_NUM_DEN, row))
+    return tuple
+
+
+def _classes(codec: Codec, rows: list) -> tuple[list[int], list]:
+    """The class of each row (equal rows share one) and the distinct rows,
+    both in first-occurrence order."""
+    key, index = _row_key(codec), {}
+    classes = [index.setdefault(key(row), (len(index), row))[0] for row in rows]
+    return classes, [row for _, row in index.values()]
+
+
+def _changed_columns(old: list, new: list, n: int) -> list[int]:
+    # new is map(min, old, step), and min returns its first argument on a
+    # tie: an entry changed iff it is another object (no Fraction compare)
+    diff = list(map(is_not, old, new))
+    return [b for b in range(n) if any(diff[b::n])]
 
 
 def _meet_of_residua(codec: Codec, n: int, matrices, side: str, kernel: str) -> list:
@@ -328,8 +421,9 @@ def greatest_invariant(
         constraints = [lv.tau if spec.side == "right" else lv.sigma]
     else:
         constraints = []
-    constraint = _meet_of_residua(codec, n, constraints, spec.side, spec.kernel)
-    current = list(map(min, current, constraint))
+    if constraints:
+        constraint = _meet_of_residua(codec, n, constraints, spec.side, spec.kernel)
+        current = list(map(min, current, constraint))
     if spec.crisp:
         current = _crisp_levels(codec, current)
 
@@ -340,10 +434,18 @@ def greatest_invariant(
         result = list(map(min, current, closed))
         return _report(lv, method, result, iterates=1, converged=True, invariant_side=spec.side)
 
+    # the left iteration is the right one on the transposed letters and R
+    left = spec.side == "left"
+    letters = _letters(lv, spec.side)
+    if left:
+        current = _transpose_levels(current, n)
     iterates = 1
     converged = False
+    # R_i <= R_(i-1)^r bounds the terms of the columns R_i shares with
+    # R_(i-1), so each step after the first takes the changed columns only
+    cols = range(n)
     while iterates < max_iter:
-        step = _level_step(lv, current, spec.side, spec.kernel)
+        step = _right_step(codec, n, letters, current, cols, spec.kernel)
         if spec.crisp:
             step = _crisp_levels(codec, step)
         refined = list(map(min, current, step))
@@ -351,8 +453,12 @@ def greatest_invariant(
         if refined == current:
             converged = True
             break
+        cols = _changed_columns(current, refined, n)
         current = refined
-    # a converged iterate R satisfies R <= R^r (or R^l): it is invariant
+    if left:
+        current = _transpose_levels(current, n)
+    # a converged iterate R satisfies R <= R^r (or R^l): it is invariant,
+    # and the step that found it equal to its successor has checked it
     side = spec.side if converged else None
     return _report(lv, method, current, iterates, converged, invariant_side=side)
 
@@ -382,7 +488,10 @@ def greatest_weakly_invariant(
 def _report(
     lv: _Levels, method, relation, iterates, converged, invariant_side=None
 ) -> ReductionReport:
-    reps = afterset_reps(lv.codec, relation, lv.n)
+    # a converged iterate was checked by its last step; a closed form, a
+    # weak result or an iterate left by max_iter was not
+    checked = converged and METHODS[method].source == "iterative"
+    reps = afterset_reps(lv.codec, relation, lv.n, checked)
     quasi_order = lv.matrix(relation)
     return ReductionReport(
         method=method,

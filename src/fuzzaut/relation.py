@@ -33,7 +33,8 @@ is the `Fraction` route the kernel is tested against.
 
 The quasi-order check on levels reads r o r: `require_quasi_order_levels`
 composes it and hands it to `require_quasi_order_square`, which a caller
-whose own product already holds r o r (a refinement step) calls directly.
+whose own product already holds r o r, or some of its columns (a
+refinement step), calls directly.
 """
 
 from __future__ import annotations
@@ -435,13 +436,17 @@ def require_quasi_order_levels(codec: Codec, r: list, n: int) -> None:
     require_quasi_order_square(codec, r, compose_levels(codec, r, r, n, n, n), n)
 
 
-def require_quasi_order_square(codec: Codec, r: list, square: list, n: int) -> None:
+def require_quasi_order_square(
+    codec: Codec, r: list, square: list, n: int, bound: list | None = None
+) -> None:
     """`require_quasi_order_levels` with the square r o r given: for a
-    caller whose own product already holds it."""
+    caller whose own product already holds it.  A caller that holds only
+    some columns of r o r passes the same columns of r as `bound`, and
+    transitivity is read there; reflexivity is read off r."""
     missing = []
     if any(r[i * n + i] != codec.top for i in range(n)):
         missing.append("reflexive")
-    if not all(map(le, square, r)):
+    if not all(map(le, square, r if bound is None else bound)):
         missing.append("transitive")
     if missing:
         raise NotQuasiOrder(f"relation is not {' or '.join(missing)}")
@@ -481,14 +486,16 @@ def aftersets(r: FuzzyMatrix) -> list[tuple[int, FuzzyVector]]:
     return [(i, r.row_vector(i)) for i in afterset_reps(codec, levels, r.rows)]
 
 
-def afterset_reps(codec: Codec, r: list, n: int) -> list[int]:
+def afterset_reps(codec: Codec, r: list, n: int, checked: bool = False) -> list[int]:
     """Least state index of each distinct row of the n x n level quasi-order r.
 
     First-occurrence order makes quotient constructions deterministic; the
     count always equals the distinct-column count.  Raises NotQuasiOrder
-    unless r is a quasi-order.
+    unless r is a quasi-order; a caller that has already checked r passes
+    `checked` and skips the product of that check.
     """
-    require_quasi_order_levels(codec, r, n)
+    if not checked:
+        require_quasi_order_levels(codec, r, n)
     first: dict[tuple, int] = {}
     for i in range(n):
         first.setdefault(tuple(r[i * n : (i + 1) * n]), i)

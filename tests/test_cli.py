@@ -95,6 +95,20 @@ class TestDocuments:
         assert main(["info", write(tmp_path, "a.json", doc)]) == 0
         assert "lattice: chain(4)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_schema_version_must_be_the_integer_1(self, version):
+        # True == 1 == 1.0 in Python; neither is the schema's version
+        with pytest.raises(ParseError, match="unsupported schema version"):
+            machine_from_document(dict(SHOWCASE_DOC, version=version))
+
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_cli_rejects_non_integer_schema_version(self, tmp_path, capsys, version):
+        path = write(tmp_path, "a.json", dict(SHOWCASE_DOC, version=version))
+        assert main(["info", path]) == 2
+        out_path = str(tmp_path / "q.json")
+        assert main(["reduce", "--method", "ri", "--input", path, "--output", out_path]) == 2
+        assert "unsupported schema version" in capsys.readouterr().err
+
     def test_each_distinct_value_text_parsed_once(self, monkeypatch):
         texts = []
         original = Lattice.parse

@@ -27,12 +27,17 @@ from fuzzaut import (
     compose,
     compose_mv,
     compose_vm,
+    crisp_part,
+    from_fuzzy_set_left,
     from_fuzzy_set_right,
     greatest_invariant,
+    join,
+    meet,
     overlap,
     parallel_compose,
     product_compose,
     reachable_state_family,
+    transitive_closure,
     transpose,
     underlying,
 )
@@ -208,6 +213,87 @@ def test_steps_match_reference(name, data):
         assert greatest_invariant(machine, method).quasi_order == reference_step(
             machine, identity, side, lat.residuum
         )
+
+
+@st.composite
+def machines_with_copies(draw, lat):
+    """An automaton or recognizer whose states copy those of a base machine
+    of at most four states: a copy repeats its original's row and column in
+    every letter and its entries of sigma and tau."""
+    base = draw(st.integers(1, 4))
+    of = draw(st.lists(st.integers(0, base - 1), min_size=1, max_size=6))
+    n = len(of)
+    letters = ("x", "y")[: draw(st.integers(1, 2))]
+    delta = {}
+    for x in letters:
+        m = draw(matrices(lat, base, base))
+        entries = tuple(m[of[a], of[b]] for a in range(n) for b in range(n))
+        delta[x] = FuzzyMatrix(lat, n, n, entries)
+    automaton = FuzzyAutomaton(lat, tuple(str(i) for i in range(n)), letters, delta)
+    if not draw(st.booleans()):
+        return automaton
+    sigma, tau = (draw(vectors(lat, base)) for _ in range(2))
+    return FuzzyRecognizer(
+        automaton,
+        FuzzyVector(lat, tuple(sigma[i] for i in of)),
+        FuzzyVector(lat, tuple(tau[i] for i in of)),
+    )
+
+
+FULL_STEPS = {
+    ("right", "residuum"): r_step,
+    ("left", "residuum"): l_step,
+    ("right", "biresiduum"): req_step,
+    ("left", "biresiduum"): leq_step,
+}
+
+
+def plain_iteration(machine, method, start, max_iter):
+    """R <- R meet step(R) with the public full step (its crisp part for a
+    crisp method), from the start met with the recognizer constraint:
+    (the last iterate, iterates, converged)."""
+    spec = METHODS[method]
+    aut = underlying(machine)
+    r = FuzzyMatrix.universal(aut.lattice, aut.n) if start is None else start
+    if isinstance(machine, FuzzyRecognizer):
+        if spec.side == "right":
+            constraint = from_fuzzy_set_left(machine.tau)
+        else:
+            constraint = from_fuzzy_set_right(machine.sigma)
+        if spec.kernel == "biresiduum":
+            constraint = meet(constraint, transpose(constraint))
+        r = meet(r, constraint)
+    part = crisp_part if spec.crisp else (lambda m: m)
+    r = part(r)
+    for iterates in range(2, max_iter + 1):
+        refined = meet(r, part(FULL_STEPS[spec.side, spec.kernel](machine, r)))
+        if refined == r:
+            return r, iterates, True
+        r = refined
+    return r, max_iter, False
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_driver_matches_plain_iteration(name, data):
+    # the driver refines only the changed columns and the distinct rows of
+    # each iterate, and runs the left side transposed: every iterate and
+    # the iterate count must still be those of the plain iteration
+    lat = LATTICES[name]
+    machine = data.draw(machines_with_copies(lat))
+    method = data.draw(st.sampled_from(("ri", "li", "rie", "lie", "cri", "cli_crisp")))
+    max_iter = data.draw(st.sampled_from((2, 3, 256)))
+    n = underlying(machine).n
+    start = None
+    if data.draw(st.booleans()):
+        r = data.draw(matrices(lat, n, n))
+        if METHODS[method].kernel == "biresiduum":
+            r = join(r, transpose(r))
+        start = transitive_closure(join(r, FuzzyMatrix.identity(lat, n)))
+    report = greatest_invariant(machine, method, start=start, max_iter=max_iter)
+    expected = plain_iteration(machine, method, start, max_iter)
+    assert (report.quasi_order, report.iterates, report.converged) == expected
 
 
 def test_lukasiewicz_large_common_denominator():

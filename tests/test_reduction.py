@@ -27,7 +27,7 @@ from fuzzaut import (
     quotient_quasi_order,
     r_step,
 )
-from fuzzaut import reduction
+from fuzzaut import reduction, relation
 from fuzzaut.reduction import leq_step, req_step
 from fuzzaut.oracle import check_general_system, languages_equal_up_to
 from fuzzaut.reduction import is_invariant
@@ -108,6 +108,49 @@ class TestRStep:
             assert report.converged
             # one product per step after the first iterate, one for the quotient
             assert len(calls) == report.iterates
+
+    def test_report_checks_only_an_unchecked_result(self, monkeypatch, rng):
+        # the step that finds a converged iterate equal to its successor has
+        # checked it; a closed form, a weak result and an iterate left by
+        # max_iter are checked by the report
+        calls = []
+        original = relation.require_quasi_order_levels
+        counted = lambda *args: calls.append(args) or original(*args)  # noqa: E731
+        monkeypatch.setattr(relation, "require_quasi_order_levels", counted)
+        machine = rand_recognizer(rng, GODEL, 6)
+        cases = [(machine, method, 256, True, 0) for method in ("ri", "li", "rie", "cli_crisp")]
+        cases += [(machine, "sri", 256, True, 1), (machine, "wri", 256, True, 1)]
+        cases += [(product_nonterminating(), "ri", 3, False, 1)]
+        for m, method, max_iter, converged, checks in cases:
+            calls.clear()
+            report = greatest_invariant(m, method, max_iter=max_iter)
+            assert report.converged == converged
+            assert len(calls) == checks, method
+
+    @pytest.mark.parametrize("method", ["ri", "li"])
+    def test_changed_column_check_catches_a_bad_iterate(self, monkeypatch, method):
+        # the first step's residual loses one entry, so the first iterate is
+        # reflexive but not transitive; the next step checks only the
+        # changed columns and must still reject it
+        calls = []
+        original = reduction.residual_levels
+
+        def faulty(codec, op, p, q, k, m, n):
+            out = original(codec, op, p, q, k, m, n)
+            calls.append(m)
+            if len(calls) == 1:
+                i = next(i for i, x in enumerate(out) if x == codec.top and i // n != i % n)
+                out[i] = codec.zero
+            return out
+
+        monkeypatch.setattr(reduction, "residual_levels", faulty)
+        # the first iterate is [[1, 1, 1], [1/2, 1, 1], [1/4, 1/2, 1]] (ri) or
+        # its transpose (li), from three distinct rows of dx o R
+        a = aut(GODEL, ("x",), mat(GODEL, [[1, 0, 0], [0, "1/2", 0], [0, 0, "1/4"]]))
+        with pytest.raises(NotQuasiOrder, match="^relation is not transitive$"):
+            greatest_invariant(a, method)
+        # the second step rejected it before its own residual
+        assert len(calls) == 1
 
     def test_monotone(self, rng):
         a = rand_recognizer(rng, GODEL, 4).automaton
