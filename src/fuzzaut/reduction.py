@@ -71,7 +71,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from operator import attrgetter, is_not, itemgetter
+from operator import is_not, itemgetter
 
 from .automaton import (
     FuzzyAutomaton,
@@ -89,7 +89,7 @@ from .errors import (
     SizeLimitExceeded,
     ValidationError,
 )
-from .lattice import Codec
+from .lattice import _NUM_DEN, Codec
 from .relation import (
     FuzzyMatrix,
     FuzzyVector,
@@ -104,9 +104,6 @@ from .relation import (
     residual_levels,
     transpose,
 )
-
-
-_NUM_DEN = attrgetter("numerator", "denominator")
 
 
 @dataclass(frozen=True)
