@@ -116,8 +116,9 @@ def underlying(machine: Machine) -> FuzzyAutomaton:
     return machine.automaton if isinstance(machine, FuzzyRecognizer) else machine
 
 
-def check_word(machine: Machine, word: Word) -> None:
-    k = len(underlying(machine).alphabet)
+def check_word(alphabet: tuple[str, ...], word: Word) -> None:
+    """Raise UnknownLetter unless every letter index of word is in range."""
+    k = len(alphabet)
     for i in word:
         if not 0 <= i < k:
             raise UnknownLetter(f"letter index {i} out of range for alphabet of size {k}")
@@ -126,7 +127,7 @@ def check_word(machine: Machine, word: Word) -> None:
 def transition_of_word(machine: Machine, word: Word) -> FuzzyMatrix:
     """delta_u: identity for the empty word, composed letter matrices otherwise."""
     aut = underlying(machine)
-    check_word(machine, word)
+    check_word(aut.alphabet, word)
     result = FuzzyMatrix.identity(aut.lattice, aut.n)
     for i in word:
         result = compose(result, aut.matrix(i))
@@ -135,7 +136,7 @@ def transition_of_word(machine: Machine, word: Word) -> FuzzyMatrix:
 
 def state_after(rec: FuzzyRecognizer, word: Word) -> FuzzyVector:
     """The fuzzy state sigma o delta_u the word drives the recognizer to."""
-    check_word(rec, word)
+    check_word(rec.automaton.alphabet, word)
     v = rec.sigma
     for i in word:
         v = compose_vm(v, rec.matrix(i))

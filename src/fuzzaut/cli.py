@@ -64,11 +64,7 @@ def _lattice_from_doc(doc) -> Lattice:
         if kind == "chain":
             if "n" not in doc:
                 raise ParseError("chain lattice needs field 'n'")
-            n = doc["n"]
-            # bool is an int subclass; a float or a string is never coerced
-            if isinstance(n, bool) or not isinstance(n, int):
-                raise ValidationError(f"chain lattice field 'n' must be an integer, got {n!r}")
-            return Lattice.chain(n)
+            return Lattice.chain(doc["n"])
         return Lattice(kind)
     except LatticeValueError as exc:
         raise ValidationError(str(exc)) from None

@@ -20,6 +20,7 @@ from .automaton import (
     FuzzyAutomaton,
     FuzzyRecognizer,
     Word,
+    check_word,
     reachable_state_family,
     state_after,
 )
@@ -134,6 +135,7 @@ def natural_projection(
     """Delete the letters outside the smaller alphabet; reindex the rest."""
     if not set(to_alphabet) <= set(from_alphabet):
         raise NotASuperset(f"{from_alphabet} does not contain {to_alphabet}")
+    check_word(from_alphabet, word)
     index = {x: i for i, x in enumerate(to_alphabet)}
     out = []
     for i in word:

@@ -66,8 +66,10 @@ class Lattice:
         if self.kind not in KINDS:
             raise LatticeValueError(f"unknown lattice kind {self.kind!r}")
         if self.kind == "chain":
-            if self.n is None or self.n < 1:
-                raise LatticeValueError("chain lattice needs a positive level count n")
+            # bool is an int subclass; a float or a string is never coerced
+            n = self.n
+            if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+                raise LatticeValueError(f"chain level count must be an integer >= 1, got {n!r}")
         elif self.n is not None:
             raise LatticeValueError(f"lattice kind {self.kind!r} takes no parameter n")
 

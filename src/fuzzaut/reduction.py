@@ -16,19 +16,29 @@ its side, its kernel, its source and whether it is crisp.
 
 `greatest_invariant` is the one driver: it looks the method up, checks the
 start relation the same way for every method, and branches on the source.
-On a recognizer every start is first met with the constraint quasi-order
-R^tau (largest R with R o tau = tau) on the right side, R_sigma on the left;
-equivalence methods use the symmetrized constraint.  The weak methods meet
-the same constraint for every vector of the family, whose first member is
-tau (resp. sigma) itself.  The steps, the closed forms and the constraints
-are all meets of residua, each one call of `relation.residual_levels`.
 
-The left iteration is the right one on the transposed letters and R:
-(R^l)^T = (R^T)^r over the letters dx^T, so the driver transposes once on
-entry and once on exit.  A right step makes one composition,
-[d1; ...; dk; R] o R, which gives every dx o R, read by the step's
-residual, and R o R, read by the quasi-order check before the residual is
-taken.
+Left is right on the reversed machine.  R is left invariant for a machine
+exactly when R^T is right invariant for its reverse, whose letters are the
+transposes dx^T and whose sigma and tau trade places, and (R^l)^T =
+(R^T)^r over the letters dx^T.  So the driver runs every left method as its
+right twin on `_Levels.reversed()`, with the start transposed on entry, and
+the report transposes the result back once.  Everything else in the module
+is written for the right side alone.
+
+On a recognizer every start is first met with the constraint quasi-order
+R^tau, the largest R with R o tau = tau (for a left method, whose tau is
+sigma, the transpose of R_sigma).  The weak methods meet the same constraint for every vector of
+the reachable state family, whose first member is tau itself.  The family is
+taken on the original machine, forward on the left: its vectors read the
+same as rows or as columns.  The closed form, R(a,b) = the meet over letters
+x and states c of dx(b,c) -> dx(a,c), is one more such constraint, the
+letters met in with tau.  Equivalence methods use the biresiduum throughout.
+The constraints, the closed form and the steps are all meets of residua,
+each one call of `relation.residual_levels`.
+
+A step makes one composition, [d1; ...; dk; R] o R, which gives every
+dx o R, read by the step's residual, and R o R, read by the quasi-order
+check before the residual is taken.
 
 Each step refines only what changed.  A column c that R_(i+1) =
 R_i meet R_i^r shares with R_i gives the same column c of every dx o R,
@@ -51,15 +61,19 @@ So a converged iterate has been checked by its last step, and its report
 takes the afterset representatives without a product of its own.  The
 public `r_step`, `l_step`, `req_step` and `leq_step` compute the full step.
 
-A reflexive R with R <= R^r satisfies R o dx o R = dx o R (left: R <= R^l
-gives R o dx o R = R o dx).  A converged iterate of an iterative method
-satisfies it (the biresiduum and the crisp part lie below the residuum),
-and so does a closed-form result, since R <= the strongly
-invariant form gives R o dx <= dx.  Their quotients read every letter's
-transitions off one stacked product at the afterset representatives (see
-`_quotient_from_reps`).  Weak methods, unconverged reports and the public
-`afterset_quotient` / `foreset_quotient` compose R o dx o R in full, in two
-products for all letters.
+A reflexive R with R <= R^r satisfies R o dx o R = dx o R, and one below
+R^tau satisfies R o tau = tau.  A converged iterate of an iterative method
+satisfies both (the biresiduum and the crisp part lie below the residuum),
+and so does a closed-form result, since R <= the strongly invariant form
+gives R o dx <= dx.  Their quotients read every letter's transitions off one
+stacked product at the afterset representatives, and tau at the
+representatives themselves (see `_quotient_from_reps`).  Weak methods,
+unconverged reports and the public `afterset_quotient` / `foreset_quotient`
+compose R o dx o R in full, in two products for all letters.  A left report
+takes the quotient of the reversed machine by R^T and reverses it back: every
+block transposed, sigma and tau swapped.  The representatives are the same,
+since two rows of a quasi-order are equal exactly when the same two columns
+are.
 
 Iterations over locally finite lattices terminate; over the product lattice
 they may not, in which case the report carries the last iterate instead of
@@ -69,6 +83,7 @@ also the infimum of all of them.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from itertools import chain
 from operator import is_not, itemgetter
@@ -172,13 +187,16 @@ class _Levels:
         self.codec, levels = aut.lattice.encode(*groups, *(item.entries for item in extra))
         k = len(aut.alphabet)
         self.delta = levels[:k]
-        # row c of the n x kn matrix [d1 | ... | dk], the letters side by side
-        self.delta_rows = [
-            list(chain.from_iterable(d[c * self.n : (c + 1) * self.n] for d in self.delta))
-            for c in range(self.n)
-        ]
         self.sigma, self.tau = (levels[k], levels[k + 1]) if self.recognizer else (None, None)
         self.extra = levels[k + 2 * self.recognizer :]
+
+    def reversed(self) -> "_Levels":
+        """The levels of the reversed machine on the same codec: every letter
+        transposed, sigma and tau swapped, the extra items as they are."""
+        rev = copy(self)
+        rev.delta = [_transpose_levels(d, self.n) for d in self.delta]
+        rev.sigma, rev.tau = self.tau, self.sigma
+        return rev
 
     @classmethod
     def of_relation(cls, machine: Machine, r: FuzzyMatrix) -> "_Levels":
@@ -190,17 +208,6 @@ class _Levels:
 
     def matrix(self, levels: list) -> FuzzyMatrix:
         return FuzzyMatrix(self.aut.lattice, self.n, self.n, self.codec.decode(levels))
-
-
-def _side_by_side(m: list, rows: int, width: int, count: int) -> list:
-    """The blocks B1, ..., Bcount of a flat row-major [B1 | ... | Bcount | C]
-    with `rows` rows, each flat row-major with `width` columns (C, possibly
-    empty, is left out)."""
-    starts = range(0, len(m), len(m) // rows)
-    return [
-        list(chain.from_iterable(m[s + x * width : s + (x + 1) * width] for s in starts))
-        for x in range(count)
-    ]
 
 
 def _transpose_levels(r: list, cols: int) -> list:
@@ -237,26 +244,19 @@ def leq_step(machine: Machine, e: FuzzyMatrix) -> FuzzyMatrix:
 
 
 def _step(machine: Machine, r: FuzzyMatrix, side: str, kernel: str) -> FuzzyMatrix:
+    """The full step R^r; R^l is the right step of the reversed machine at
+    R^T, transposed back."""
     lv = _Levels.of_relation(machine, r)
-    return lv.matrix(_level_step(lv, lv.extra[0], side, kernel))
+    n, r = lv.n, lv.extra[0]
+    left = side == "left"
+    if left:
+        lv, r = lv.reversed(), _transpose_levels(r, n)
+    step = _right_step(lv.codec, n, _letters(lv), r, range(n), kernel)
+    return lv.matrix(_transpose_levels(step, n) if left else step)
 
 
-def _level_step(lv: _Levels, r: list, side: str, kernel: str) -> list:
-    """The full step R^r (or R^l): the right step at every column, the left
-    one as the right step on the transposed letters and R, transposed back."""
-    n, letters, everything = lv.n, _letters(lv, side), range(lv.n)
-    if side == "right":
-        return _right_step(lv.codec, n, letters, r, everything, kernel)
-    step = _right_step(lv.codec, n, letters, _transpose_levels(r, n), everything, kernel)
-    return _transpose_levels(step, n)
-
-
-def _letters(lv: _Levels, side: str) -> list:
-    """Column c of the stacked letters [d1; ...; dk] that the right step of
-    `side` reads, for each state c.  The left side reads the transposed
-    letters, and column c of dx^T is row c of dx."""
-    if side == "left":
-        return lv.delta_rows
+def _letters(lv: _Levels) -> list:
+    """Column c of the stacked letters [d1; ...; dk], for each state c."""
     n = lv.n
     return [list(chain.from_iterable(d[c::n] for d in lv.delta)) for c in range(n)]
 
@@ -326,17 +326,14 @@ def _changed_columns(old: list, new: list, n: int) -> list[int]:
     return [b for b in range(n) if any(diff[b::n])]
 
 
-def _meet_of_residua(codec: Codec, n: int, matrices, side: str, kernel: str) -> list:
-    """R(a,b) = the meet over the matrices M and their rows c of
-    op(M(c,a), M(c,b)) (left), or over their columns c of op(M(b,c), M(a,c))
-    (right), for op the kernel: the residual of the stacked M with
-    themselves, on the right of their transposes and transposed back.  An M
-    is n x n, or a vector: 1 x n on the left, n x 1 on the right."""
-    if side == "right":
-        matrices = [_transpose_levels(m, len(m) // n) for m in matrices]
-    stacked = list(chain.from_iterable(matrices))
+def _meet_of_residua(codec: Codec, n: int, matrices, kernel: str) -> list:
+    """R(a,b) = the meet over the matrices M and their columns c of
+    op(M(b,c), M(a,c)), for op the kernel: the residual of the stacked
+    transposes of the M with themselves, transposed.  An M is n x n, or an
+    n x 1 vector, whose level list is also its transpose's."""
+    stacked = list(chain.from_iterable(_transpose_levels(m, len(m) // n) for m in matrices))
     out = residual_levels(codec, kernel, stacked, stacked, len(stacked) // n, n, n)
-    return _transpose_levels(out, n) if side == "right" else out
+    return _transpose_levels(out, n)
 
 
 # ---------------------------------------------------------------------------
@@ -402,40 +399,38 @@ def greatest_invariant(
             raise EquivalenceRequired(f"method {method} needs an equivalence start")
         starts = (start,)
 
+    # the family is taken on the original machine, so that a truncated one
+    # keeps its discovery order; its vectors read the same as rows or columns
+    left = spec.side == "left"
     vectors = ()
     if spec.source == "weak":
-        direction = "reverse" if spec.side == "right" else "forward"
         family = reachable_state_family(
-            machine, direction, max_states=max_states, max_depth=max_depth
+            machine, "forward" if left else "reverse", max_states=max_states, max_depth=max_depth
         )
         vectors = tuple(vec for _, vec in family.members)
     lv = _Levels(machine, *starts, *vectors)
     codec, n = lv.codec, lv.n
     current = lv.extra[0] if starts else [codec.top] * (n * n)
+    if left:
+        # a left method is the right one on the reversed machine and R^T
+        lv, current = lv.reversed(), _transpose_levels(current, n)
     if spec.source == "weak":
         constraints = lv.extra[len(starts) :]
-    elif lv.recognizer:
-        constraints = [lv.tau if spec.side == "right" else lv.sigma]
     else:
-        constraints = []
+        constraints = [lv.tau] if lv.recognizer else []
+        if spec.source == "closed":
+            constraints += lv.delta
     if constraints:
-        constraint = _meet_of_residua(codec, n, constraints, spec.side, spec.kernel)
+        constraint = _meet_of_residua(codec, n, constraints, spec.kernel)
         current = list(map(min, current, constraint))
     if spec.crisp:
         current = _crisp_levels(codec, current)
-
     if spec.source == "weak":
         return _report(lv, method, current, len(vectors), family.complete)
     if spec.source == "closed":
-        closed = _meet_of_residua(codec, n, lv.delta, spec.side, spec.kernel)
-        result = list(map(min, current, closed))
-        return _report(lv, method, result, iterates=1, converged=True, invariant_side=spec.side)
+        return _report(lv, method, current, iterates=1, converged=True)
 
-    # the left iteration is the right one on the transposed letters and R
-    left = spec.side == "left"
-    letters = _letters(lv, spec.side)
-    if left:
-        current = _transpose_levels(current, n)
+    letters = _letters(lv)
     iterates = 1
     converged = False
     # R_i <= R_(i-1)^r bounds the terms of the columns R_i shares with
@@ -452,12 +447,7 @@ def greatest_invariant(
             break
         cols = _changed_columns(current, refined, n)
         current = refined
-    if left:
-        current = _transpose_levels(current, n)
-    # a converged iterate R satisfies R <= R^r (or R^l): it is invariant,
-    # and the step that found it equal to its successor has checked it
-    side = spec.side if converged else None
-    return _report(lv, method, current, iterates, converged, invariant_side=side)
+    return _report(lv, method, current, iterates, converged)
 
 
 def greatest_strongly_invariant(machine: Machine, side: str) -> FuzzyMatrix:
@@ -482,20 +472,24 @@ def greatest_weakly_invariant(
     return greatest_invariant(rec, method, start=start, max_states=max_states, max_depth=max_depth)
 
 
-def _report(
-    lv: _Levels, method, relation, iterates, converged, invariant_side=None
-) -> ReductionReport:
+def _report(lv: _Levels, method, relation, iterates, converged) -> ReductionReport:
+    spec = METHODS[method]
     # a converged iterate was checked by its last step; a closed form, a
     # weak result or an iterate left by max_iter was not
-    checked = converged and METHODS[method].source == "iterative"
+    checked = converged and spec.source == "iterative"
     reps = afterset_reps(lv.codec, relation, lv.n, checked)
+    # a converged iterate and a closed form are invariant
+    quotient = _quotient_from_reps(lv, relation, reps, converged and spec.source != "weak")
+    if spec.side == "left":
+        # back from the reversed machine
+        relation, quotient = _transpose_levels(relation, lv.n), reverse(quotient)
     quasi_order = lv.matrix(relation)
     return ReductionReport(
         method=method,
         iterates=iterates,
         converged=converged,
         quasi_order=quasi_order,
-        quotient=_quotient_from_reps(lv, relation, reps, invariant_side),
+        quotient=quotient,
         state_trace=(lv.n, len(reps)),
         # the iterates descend, so their infimum is the last one
         iterate_infimum=quasi_order,
@@ -506,59 +500,46 @@ def _report(
 # quotients
 
 
-def _quotient_from_reps(
-    lv: _Levels, r: list, reps: list[int], invariant_side: str | None = None
-) -> Machine:
+def _quotient_from_reps(lv: _Levels, r: list, reps: list[int], invariant: bool = False) -> Machine:
     """Transitions R o dx o R, initial sigma o R and terminal R o tau, at the
     representatives only, from two products for all letters: R at the
     representatives' rows times [d1 | ... | dk | tau] gives every R o dx
     and R o tau there, and [R o d1; ...; R o dk; sigma] times R at their
     columns gives every R o dx o R and sigma o R.
 
-    A reflexive R that is invariant on `invariant_side` needs one of them.
-    R <= R^r gives R o dx o R = dx o R: the second product alone, with each
-    dx at the representatives' rows in the stack.  R <= R^l gives
-    R o dx o R = R o dx: the first product alone, with each dx at the
-    representatives' columns.  The vector the skipped product would have
-    given takes its own composition."""
+    An invariant R, reflexive with R <= R^r and R o tau = tau, needs the
+    second product alone: R o dx o R = dx o R, with each dx at the
+    representatives' rows in the stack, and tau is read at the
+    representatives."""
     codec, n, m, k = lv.codec, lv.n, len(reps), len(lv.delta)
     aut, lat = lv.aut, lv.aut.lattice
-    rep_rows = [x for a in reps for x in r[a * n : (a + 1) * n]]
-    rep_cols = [r[c * n + b] for c in range(n) for b in reps]
-    sigma = tau = None
-    if invariant_side == "right":
+    if invariant:
         rows = [x for d in lv.delta for a in reps for x in d[a * n : (a + 1) * n]]
+        tau = [lv.tau[a] for a in reps] if lv.recognizer else None
     else:
-        cols = reps if invariant_side == "left" else range(n)
-        picked = [x * n + b for x in range(k) for b in cols]
-        wide = []
-        for c, row in enumerate(lv.delta_rows):
-            wide += [row[j] for j in picked]
+        wide = []  # row-major [d1 | ... | dk | tau]
+        for c in range(n):
+            wide += chain.from_iterable(d[c * n : (c + 1) * n] for d in lv.delta)
             if lv.recognizer:
                 wide.append(lv.tau[c])
-        out = compose_levels(codec, rep_rows, wide, m, n, len(wide) // n)
-        blocks = _side_by_side(out, m, len(cols), k)
-        if lv.recognizer:
-            tau = out[len(picked) :: len(picked) + 1]
-        rows = list(chain.from_iterable(blocks))
-    if invariant_side != "left":
-        stacked = rows + lv.sigma if lv.recognizer else rows
-        out = compose_levels(codec, stacked, rep_cols, len(stacked) // n, n, m)
-        blocks = [out[x * m * m : (x + 1) * m * m] for x in range(k)]
-        if lv.recognizer:
-            sigma = out[k * m * m :]
+        h = len(wide) // n
+        rep_rows = [x for a in reps for x in r[a * n : (a + 1) * n]]
+        out = compose_levels(codec, rep_rows, wide, m, n, h)
+        # [R o d1; ...; R o dk] at the representatives' rows
+        starts = [a * h + j * n for j in range(k) for a in range(m)]
+        rows = [x for s in starts for x in out[s : s + n]]
+        tau = out[k * n :: h] if lv.recognizer else None
+    stacked = rows + lv.sigma if lv.recognizer else rows
+    rep_cols = [r[c * n + b] for c in range(n) for b in reps]
+    out = compose_levels(codec, stacked, rep_cols, len(stacked) // n, n, m)
+    blocks = (out[j : j + m * m] for j in range(0, k * m * m, m * m))
     delta = {x: FuzzyMatrix(lat, m, m, codec.decode(b)) for x, b in zip(aut.alphabet, blocks)}
     names = tuple(f"Q{aut.states[i]}" for i in reps)
     quotient_aut = FuzzyAutomaton(lat, names, aut.alphabet, delta)
     if not lv.recognizer:
         return quotient_aut
-    if sigma is None:
-        sigma = compose_levels(codec, lv.sigma, rep_cols, 1, n, m)
-    if tau is None:
-        tau = compose_levels(codec, rep_rows, lv.tau, m, n, 1)
-    return FuzzyRecognizer(
-        quotient_aut, FuzzyVector(lat, codec.decode(sigma)), FuzzyVector(lat, codec.decode(tau))
-    )
+    sigma = FuzzyVector(lat, codec.decode(out[k * m * m :]))
+    return FuzzyRecognizer(quotient_aut, sigma, FuzzyVector(lat, codec.decode(tau)))
 
 
 def afterset_quotient(machine: Machine, r: FuzzyMatrix) -> Machine:

@@ -12,6 +12,7 @@ from fuzzaut import (
     FuzzyRecognizer,
     LatticeMismatch,
     NotASuperset,
+    UnknownLetter,
     are_isomorphic,
     check_blocking,
     conflict_check,
@@ -195,6 +196,12 @@ class TestNaturalProjection:
     def test_requires_subset(self):
         with pytest.raises(NotASuperset):
             natural_projection((), ("x",), ("x", "y"))
+
+    @pytest.mark.parametrize("word", [(-1, 0), (0, 2)])
+    def test_letter_index_out_of_range(self, word):
+        # -1 wrapped to the last letter, and 2 raised a raw IndexError
+        with pytest.raises(UnknownLetter, match="out of range for alphabet of size 2"):
+            natural_projection(word, ("a", "b"), ("b",))
 
 
 class TestPrefixClosure:

@@ -174,6 +174,13 @@ def test_chain_needs_level_count():
         Lattice("triangular")
 
 
+@pytest.mark.parametrize("n", [2.5, 4.0, True, False, "2", 0])
+def test_chain_level_count_must_be_a_positive_int(n):
+    # a float or a bool was accepted, and 4.0 failed later inside encode
+    with pytest.raises(LatticeValueError, match="must be an integer >= 1"):
+        Lattice.chain(n)
+
+
 @given(
     x=st.fractions(min_value=0, max_value=1, max_denominator=40),
     y=st.fractions(min_value=0, max_value=1, max_denominator=40),

@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzaut import (
     ContainmentViolated,
@@ -26,6 +28,8 @@ from fuzzaut import (
     natural_equivalence,
     quotient_quasi_order,
     r_step,
+    reverse,
+    transpose,
 )
 from fuzzaut import reduction, relation
 from fuzzaut.reduction import leq_step, req_step
@@ -37,6 +41,7 @@ from conftest import (
     CHAIN4,
     CORPUS_LATTICES,
     GODEL,
+    LATTICES,
     PROD,
     alternating_showcase_recognizer,
     aut,
@@ -52,6 +57,7 @@ from conftest import (
     product_three_state,
     rand_quasi_order,
     rand_recognizer,
+    recognizers,
     sri_two_round_automaton,
     tau_chain_recognizer,
     vec,
@@ -332,6 +338,32 @@ def test_is_invariant_matches_the_equations(rng):
                     assert is_invariant(recz, r, side, strong) == value
                     answers.add(value)
     assert answers == {True, False}
+
+
+# each left method and the right method it is the mirror image of
+TWINS = {"li": "ri", "lie": "rie", "cli_crisp": "cri", "sli": "sri", "wli": "wri", "wlie": "wrie"}
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_left_report_is_the_right_report_of_the_reverse(name, data):
+    """R is left invariant for M exactly when R^T is right invariant for
+    reverse(M): each left report is its twin's on reverse(M), transposed,
+    after as many iterates, and its quotient is the twin's reversed."""
+    rec = data.draw(recognizers(LATTICES[name]))
+    caps = {"max_iter": 8, "max_states": 64, "max_depth": 8}
+    for left, right in TWINS.items():
+        weak = reduction.METHODS[left].source == "weak"
+        for machine in (rec,) if weak else (rec, rec.automaton):
+            report = greatest_invariant(machine, left, **caps)
+            twin = greatest_invariant(reverse(machine), right, **caps)
+            if weak and not report.converged:
+                # a truncated family need not be discovered in the same order
+                continue
+            assert report.quasi_order == transpose(twin.quasi_order)
+            assert (report.iterates, report.converged) == (twin.iterates, twin.converged)
+            assert report.quotient == reverse(twin.quotient)
 
 
 class TestWeaklyInvariant:
