@@ -2,11 +2,18 @@
 
 Words are tuples of alphabet indices; the empty word is the empty tuple.
 Letter names only matter at the document/CLI boundary.
+
+`Levels` is the one place that encodes a machine: its letters, sigma, tau
+and at most one relation, with one codec.  `Levels.family`, the one search
+of the reachable fuzzy-state family, runs on its caller's levels: the weak
+reductions and the blocking check use its members as they are, and
+`reachable_state_family` decodes them once.
 """
 
 from __future__ import annotations
 
 import itertools
+from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -28,6 +35,7 @@ from .relation import (
     compose_vm,
     overlap,
     transpose,
+    transpose_levels,
 )
 
 Word = tuple[int, ...]
@@ -116,6 +124,21 @@ def underlying(machine: Machine) -> FuzzyAutomaton:
     return machine.automaton if isinstance(machine, FuzzyRecognizer) else machine
 
 
+def require_recognizer(machine, what: str) -> FuzzyRecognizer:
+    """Raise ValidationError unless machine is a recognizer (has sigma and tau)."""
+    if not isinstance(machine, FuzzyRecognizer):
+        raise ValidationError(f"{what} needs a recognizer, got {type(machine).__name__}")
+    return machine
+
+
+def check_caps(max_states: int, max_depth: int) -> None:
+    """Raise ValidationError unless the state family caps are usable."""
+    if max_states < 1:
+        raise ValidationError("max_states must be at least 1")
+    if max_depth < 0:
+        raise ValidationError("max_depth must be nonnegative")
+
+
 def check_word(alphabet: tuple[str, ...], word: Word) -> None:
     """Raise UnknownLetter unless every letter index of word is in range."""
     k = len(alphabet)
@@ -136,7 +159,7 @@ def transition_of_word(machine: Machine, word: Word) -> FuzzyMatrix:
 
 def state_after(rec: FuzzyRecognizer, word: Word) -> FuzzyVector:
     """The fuzzy state sigma o delta_u the word drives the recognizer to."""
-    check_word(rec.automaton.alphabet, word)
+    check_word(require_recognizer(rec, "a word's fuzzy state").alphabet, word)
     v = rec.sigma
     for i in word:
         v = compose_vm(v, rec.matrix(i))
@@ -246,7 +269,80 @@ def are_isomorphic(a: Machine, b: Machine, max_states: int = 12) -> tuple[int, .
 
 
 # ---------------------------------------------------------------------------
-# accessible fuzzy subset construction
+# levels and the accessible fuzzy subset construction
+
+
+class Levels:
+    """A machine and at most one relation on its states, encoded by one
+    codec built from all of their values.  Vectors and relations stay flat
+    row-major level lists from here until the caller decodes its result."""
+
+    def __init__(self, machine: Machine, relation: FuzzyMatrix | None = None):
+        aut = underlying(machine)
+        self.aut, self.n = aut, aut.n
+        self.recognizer = isinstance(machine, FuzzyRecognizer)
+        groups = [aut.delta[x].entries for x in aut.alphabet]
+        if self.recognizer:
+            groups += [machine.sigma.entries, machine.tau.entries]
+        if relation is not None:
+            if relation.lattice != aut.lattice or relation.rows != aut.n or not relation.is_square:
+                raise ValidationError("relation does not match the automaton")
+            groups.append(relation.entries)
+        self.codec, levels = aut.lattice.encode(*groups)
+        k = len(aut.alphabet)
+        self.delta = levels[:k]
+        self.sigma, self.tau = (levels[k], levels[k + 1]) if self.recognizer else (None, None)
+        self.relation = levels[-1] if relation is not None else None
+
+    def reversed(self) -> "Levels":
+        """The levels of the reversed machine and of R^T on the same codec:
+        every letter and the relation transposed, sigma and tau swapped."""
+        rev = copy(self)
+        rev.delta = [transpose_levels(d, self.n) for d in self.delta]
+        rev.sigma, rev.tau = self.tau, self.sigma
+        if self.relation is not None:
+            rev.relation = transpose_levels(self.relation, self.n)
+        return rev
+
+    def matrix(self, levels: list) -> FuzzyMatrix:
+        return FuzzyMatrix(self.aut.lattice, self.n, self.n, self.codec.decode(levels))
+
+    def family(self, direction: str, max_states: int, max_depth: int) -> tuple[dict, bool]:
+        """Breadth-first closure of {sigma} under f -> f o dx (forward) or of
+        {tau} under f -> dx o f (reverse): each member, a level tuple, mapped
+        to its witness word in length-then-lex discovery order, and whether a
+        cap stopped the search.  The codec is injective and closed under join
+        and otimes, so two members are equal exactly when their values are."""
+        if direction not in ("forward", "reverse"):
+            raise ValidationError(f"direction must be 'forward' or 'reverse', got {direction!r}")
+        check_caps(max_states, max_depth)
+        codec, n = self.codec, self.n
+        first = tuple(self.sigma if direction == "forward" else self.tau)
+        seen: dict[tuple, Word] = {first: EMPTY_WORD}
+        frontier = [(EMPTY_WORD, first)]
+        for _ in range(max_depth):
+            nxt: list[tuple[Word, tuple]] = []
+            if direction == "forward":
+                expansions = ((w + (xi,), compose_levels(codec, f, m, 1, n, n))
+                              for w, f in frontier for xi, m in enumerate(self.delta))
+            else:
+                # prepend the letter: tau_{x u} = delta_x o tau_u; letter-outer
+                # iteration keeps witnesses in length-then-lex order
+                expansions = (((xi,) + w, compose_levels(codec, m, f, n, n, 1))
+                              for xi, m in enumerate(self.delta) for w, f in frontier)
+            for word, g in expansions:
+                g = tuple(g)
+                if g in seen:
+                    continue
+                if len(seen) >= max_states:
+                    return seen, True
+                seen[g] = word
+                nxt.append((word, g))
+            if not nxt:
+                return seen, False
+            frontier = nxt
+        # a frontier left after max_depth levels was never expanded
+        return seen, True
 
 
 @dataclass(frozen=True)
@@ -270,57 +366,11 @@ def reachable_state_family(
     max_states: int = 4096,
     max_depth: int = 64,
 ) -> FuzzyStateFamily:
-    """Breadth-first closure of {sigma} under f -> f o delta_x (forward) or of
-    {tau} under f -> delta_x o f (reverse), deduplicated by exact equality.
-    """
-    if direction not in ("forward", "reverse"):
-        raise ValidationError(f"direction must be 'forward' or 'reverse', got {direction!r}")
-    if max_states < 1:
-        raise ValidationError("max_states must be at least 1")
-    if max_depth < 0:
-        raise ValidationError("max_depth must be nonnegative")
-    aut = rec.automaton
-    n = aut.n
-    start = rec.sigma if direction == "forward" else rec.tau
-    # One codec for the whole BFS.  It is injective and its levels are closed
-    # under join and otimes, so every vector reached is a level tuple of this
-    # codec, and two of them are equal exactly when their values are.
-    codec, levels = aut.lattice.encode(*(aut.delta[x].entries for x in aut.alphabet), start.entries)
-    *mats, first = levels
-    first = tuple(first)
-
-    # insertion-ordered: the members in discovery order, with their witnesses
-    seen: dict[tuple, Word] = {first: EMPTY_WORD}
-    frontier = [(EMPTY_WORD, first)]
-    truncated = False
-    depth = 0
-
-    while frontier and not truncated:
-        if depth >= max_depth:
-            truncated = True
-            break
-        nxt: list[tuple[Word, tuple]] = []
-        if direction == "forward":
-            expansions = ((w + (xi,), compose_levels(codec, f, m, 1, n, n))
-                          for w, f in frontier for xi, m in enumerate(mats))
-        else:
-            # prepend the letter: tau_{x u} = delta_x o tau_u; letter-outer
-            # iteration keeps witnesses in length-then-lex order
-            expansions = (((xi,) + w, compose_levels(codec, m, f, n, n, 1))
-                          for xi, m in enumerate(mats) for w, f in frontier)
-        for word, g in expansions:
-            g = tuple(g)
-            if g in seen:
-                continue
-            if len(seen) >= max_states:
-                truncated = True
-                break
-            seen[g] = word
-            nxt.append((word, g))
-        frontier = nxt
-        depth += 1
-
-    decoded = tuple((w, FuzzyVector(aut.lattice, codec.decode(g))) for g, w in seen.items())
+    """`Levels.family` on the recognizer's levels, decoded once."""
+    lv = Levels(require_recognizer(rec, "the state family"))
+    members, truncated = lv.family(direction, max_states, max_depth)
+    lat, decode = lv.aut.lattice, lv.codec.decode
+    decoded = tuple((w, FuzzyVector(lat, decode(g))) for g, w in members.items())
     return FuzzyStateFamily(direction, decoded, complete=not truncated, truncated=truncated)
 
 

@@ -29,6 +29,7 @@ from .automaton import (
     Machine,
     Word,
     reachable_state_family,
+    require_recognizer,
     underlying,
 )
 from .des import check_blocking, conflict_check, parallel_compose, product_compose
@@ -158,14 +159,14 @@ def load(path: str) -> Machine:
         raise ParseError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:
+        # not UTF-8, an integer past the int-string digit limit, or too deep
+        raise ParseError(f"{path}: unreadable document: {exc}") from None
     return machine_from_document(doc)
 
 
 def _load_recognizer(path: str) -> FuzzyRecognizer:
-    machine = load(path)
-    if not isinstance(machine, FuzzyRecognizer):
-        raise ValidationError(f"{path}: needs a recognizer (sigma and tau present)")
-    return machine
+    return require_recognizer(load(path), path)
 
 
 def _lattice_doc(lat: Lattice):

@@ -9,6 +9,9 @@ exactly sigma o delta_u o T o tau for that one reach matrix T.  The verdict
 is three-valued only because the forward state family, which enumerates
 the words u, need not be finite: where it is truncated, the words within
 the horizon are decided exactly and the rest is left 'undetermined'.
+
+`check_blocking` runs the family, the reach matrix and every member's test
+on one codec (`automaton.Levels`); only the witness word leaves it.
 """
 
 from __future__ import annotations
@@ -19,9 +22,10 @@ from fractions import Fraction
 from .automaton import (
     FuzzyAutomaton,
     FuzzyRecognizer,
+    Levels,
     Word,
     check_word,
-    reachable_state_family,
+    require_recognizer,
     state_after,
 )
 from .errors import (
@@ -31,7 +35,7 @@ from .errors import (
     ValidationError,
 )
 from .lattice import Codec
-from .relation import FuzzyMatrix, FuzzyVector, compose_levels, compose_mv, compose_vm, overlap
+from .relation import FuzzyMatrix, FuzzyVector, compose_levels, compose_vm, overlap
 
 
 @dataclass(frozen=True)
@@ -75,6 +79,8 @@ def _compose(a: FuzzyRecognizer, b: FuzzyRecognizer, alphabet) -> ComposedRecogn
     sigma_a (x) sigma_b and tau_a (x) tau_b.  For a letter private to one
     side the identity stands in for the other side's matrix, which is exact:
     v * 1 = v and v * 0 = 0."""
+    for machine in (a, b):
+        require_recognizer(machine, "a composition")
     lat = a.lattice
     na, nb = a.n, b.n
     aset, bset = set(a.alphabet), set(b.alphabet)
@@ -117,6 +123,7 @@ def _kronecker(codec: Codec, a: list, b: list, na: int, nb: int) -> list:
 
 def input_extension(rec: FuzzyRecognizer, alphabet: tuple[str, ...]) -> FuzzyRecognizer:
     """Extend to a superset alphabet; new letters act as the identity."""
+    require_recognizer(rec, "input extension")
     if not set(rec.alphabet) <= set(alphabet):
         raise NotASuperset(f"{alphabet} does not contain {rec.alphabet}")
     if len(set(alphabet)) != len(alphabet):
@@ -158,19 +165,23 @@ def bounded_reach_matrix(rec: FuzzyRecognizer, horizon: int) -> FuzzyMatrix:
     Since x * y <= x, T_h is constant from h = n - 1 on and covers all of
     X*; the iteration stops at the first step that changes nothing.
     """
-    aut = rec.automaton
-    n = aut.n
-    codec, mats = aut.lattice.encode(*(aut.delta[x].entries for x in aut.alphabet))
+    lv = Levels(rec)
+    return lv.matrix(_reach_levels(lv, horizon))
+
+
+def _reach_levels(lv: Levels, horizon: int) -> list:
+    """`bounded_reach_matrix` on the machine's levels."""
+    codec, n = lv.codec, lv.n
     ident = [codec.top if i == j else codec.zero for i in range(n) for j in range(n)]
     # levels are ordered as their values, so a join is an entrywise max
-    step = list(map(max, ident, *mats))
+    step = list(map(max, ident, *lv.delta))
     current = ident
     for _ in range(horizon):
         stepped = compose_levels(codec, step, current, n, n, n)
         if stepped == current:
             break
         current = stepped
-    return FuzzyMatrix(aut.lattice, n, n, codec.decode(current))
+    return current
 
 
 def prefix_closure_at(rec: FuzzyRecognizer, word: Word, horizon: int) -> Fraction:
@@ -212,15 +223,18 @@ def check_blocking(
     """
     if horizon < 1:
         raise ValidationError("horizon must be at least 1")
-    family = reachable_state_family(rec, "forward", max_states=max_states, max_depth=max_depth)
-    # (vec o reach) o tau = vec o (reach o tau): one product for all members
-    reach_tau = compose_mv(bounded_reach_matrix(rec, rec.n), rec.tau)
-    for word, vec in family.members:
-        if family.truncated and len(word) > horizon:
+    lv = Levels(require_recognizer(rec, "the blocking check"))
+    family, truncated = lv.family("forward", max_states, max_depth)
+    codec, n = lv.codec, lv.n
+    # (f o T) o tau = f o (T o tau): one product for all members
+    reach_tau = compose_levels(codec, _reach_levels(lv, n), lv.tau, n, n, 1)
+    for vec, word in family.items():
+        if truncated and len(word) > horizon:
             break
-        if overlap(vec, reach_tau) < max(vec.entries):
+        # levels are ordered as their values
+        if compose_levels(codec, vec, reach_tau, 1, n, 1)[0] < max(vec):
             return BlockingVerdict("blocking", word)
-    return BlockingVerdict("undetermined" if family.truncated else "nonblocking", None)
+    return BlockingVerdict("undetermined" if truncated else "nonblocking", None)
 
 
 def conflict_check(

@@ -14,23 +14,27 @@ its side, its kernel, its source and whether it is crisp.
     cri / cli_crisp   crisp iterative       sri / sli     closed form
     wri / wli     weak quasi-order          wrie / wlie   weak equivalence
 
-`greatest_invariant` is the one driver: it looks the method up, checks the
-start relation the same way for every method, and branches on the source.
+`greatest_invariant` is the one driver: it looks the method up, encodes the
+machine and the start relation with one codec (`automaton.Levels`), checks
+the start on those levels the same way for every method, and branches on
+the source.
 
 Left is right on the reversed machine.  R is left invariant for a machine
 exactly when R^T is right invariant for its reverse, whose letters are the
 transposes dx^T and whose sigma and tau trade places, and (R^l)^T =
 (R^T)^r over the letters dx^T.  So the driver runs every left method as its
-right twin on `_Levels.reversed()`, with the start transposed on entry, and
-the report transposes the result back once.  Everything else in the module
+right twin on `Levels.reversed()`, whose relation is the start transposed,
+and the report transposes the result back once.  Everything else in the module
 is written for the right side alone.
 
 On a recognizer every start is first met with the constraint quasi-order
 R^tau, the largest R with R o tau = tau (for a left method, whose tau is
-sigma, the transpose of R_sigma).  The weak methods meet the same constraint for every vector of
-the reachable state family, whose first member is tau itself.  The family is
-taken on the original machine, forward on the left: its vectors read the
-same as rows or as columns.  The closed form, R(a,b) = the meet over letters
+sigma, the transpose of R_sigma).  The weak methods meet the same
+constraint for every member of the reachable state family, whose first
+member is tau itself.  `Levels.family` runs on the driver's own levels, so
+its members are constraints as they stand, with no decode.  It is taken on
+the original machine, forward on the left: its members read the same as
+rows or as columns.  The closed form, R(a,b) = the meet over letters
 x and states c of dx(b,c) -> dx(a,c), is one more such constraint, the
 letters met in with tau.  Equivalence methods use the biresiduum throughout.
 The constraints, the closed form and the steps are all meets of residua,
@@ -83,7 +87,6 @@ also the infimum of all of them.
 
 from __future__ import annotations
 
-from copy import copy
 from dataclasses import dataclass
 from itertools import chain
 from operator import is_not, itemgetter
@@ -91,20 +94,21 @@ from operator import is_not, itemgetter
 from .automaton import (
     FuzzyAutomaton,
     FuzzyRecognizer,
+    Levels,
     Machine,
     are_isomorphic,
-    reachable_state_family,
+    check_caps,
+    require_recognizer,
     reverse,
     underlying,
 )
 from .errors import (
     ContainmentViolated,
     EquivalenceRequired,
-    LatticeMismatch,
     SizeLimitExceeded,
     ValidationError,
 )
-from .lattice import _NUM_DEN, Codec
+from .lattice import Codec
 from .relation import (
     FuzzyMatrix,
     FuzzyVector,
@@ -113,11 +117,14 @@ from .relation import (
     compose,
     compose_levels,
     compose_mv,
+    distinct_rows,
     leq,
     require_quasi_order,
+    require_quasi_order_levels,
     require_quasi_order_square,
     residual_levels,
     transpose,
+    transpose_levels,
 )
 
 
@@ -165,62 +172,6 @@ class ReductionReport:
 
 
 # ---------------------------------------------------------------------------
-# levels
-
-
-class _Levels:
-    """A machine and some relations or vectors on its states, encoded by
-    one codec built from all of their values.  Relations stay flat
-    row-major level lists from here until the report decodes them."""
-
-    def __init__(self, machine: Machine, *extra):
-        aut = underlying(machine)
-        for item in extra:
-            if item.lattice != aut.lattice:
-                raise LatticeMismatch(f"{item.lattice.describe()} vs {aut.lattice.describe()}")
-        self.aut = aut
-        self.n = aut.n
-        self.recognizer = isinstance(machine, FuzzyRecognizer)
-        groups = [aut.delta[x].entries for x in aut.alphabet]
-        if self.recognizer:
-            groups += [machine.sigma.entries, machine.tau.entries]
-        self.codec, levels = aut.lattice.encode(*groups, *(item.entries for item in extra))
-        k = len(aut.alphabet)
-        self.delta = levels[:k]
-        self.sigma, self.tau = (levels[k], levels[k + 1]) if self.recognizer else (None, None)
-        self.extra = levels[k + 2 * self.recognizer :]
-
-    def reversed(self) -> "_Levels":
-        """The levels of the reversed machine on the same codec: every letter
-        transposed, sigma and tau swapped, the extra items as they are."""
-        rev = copy(self)
-        rev.delta = [_transpose_levels(d, self.n) for d in self.delta]
-        rev.sigma, rev.tau = self.tau, self.sigma
-        return rev
-
-    @classmethod
-    def of_relation(cls, machine: Machine, r: FuzzyMatrix) -> "_Levels":
-        """The levels of a machine and one relation on its states, extra[0]."""
-        n = underlying(machine).n
-        if r.rows != n or not r.is_square:
-            raise ValidationError(f"relation is {r.rows}x{r.cols}, automaton has {n} states")
-        return cls(machine, r)
-
-    def matrix(self, levels: list) -> FuzzyMatrix:
-        return FuzzyMatrix(self.aut.lattice, self.n, self.n, self.codec.decode(levels))
-
-
-def _transpose_levels(r: list, cols: int) -> list:
-    """The transpose of a flat row-major level matrix with `cols` columns."""
-    return list(chain.from_iterable(r[j::cols] for j in range(cols)))
-
-
-def _crisp_levels(codec: Codec, r: list) -> list:
-    top, zero = codec.top, codec.zero
-    return [top if x == top else zero for x in r]
-
-
-# ---------------------------------------------------------------------------
 # one-step operators
 
 
@@ -246,16 +197,15 @@ def leq_step(machine: Machine, e: FuzzyMatrix) -> FuzzyMatrix:
 def _step(machine: Machine, r: FuzzyMatrix, side: str, kernel: str) -> FuzzyMatrix:
     """The full step R^r; R^l is the right step of the reversed machine at
     R^T, transposed back."""
-    lv = _Levels.of_relation(machine, r)
-    n, r = lv.n, lv.extra[0]
+    lv = Levels(machine, r)
     left = side == "left"
     if left:
-        lv, r = lv.reversed(), _transpose_levels(r, n)
-    step = _right_step(lv.codec, n, _letters(lv), r, range(n), kernel)
-    return lv.matrix(_transpose_levels(step, n) if left else step)
+        lv = lv.reversed()
+    step = _right_step(lv.codec, lv.n, _letters(lv), lv.relation, range(lv.n), kernel)
+    return lv.matrix(transpose_levels(step, lv.n) if left else step)
 
 
-def _letters(lv: _Levels) -> list:
+def _letters(lv: Levels) -> list:
     """Column c of the stacked letters [d1; ...; dk], for each state c."""
     n = lv.n
     return [list(chain.from_iterable(d[c::n] for d in lv.delta)) for c in range(n)]
@@ -275,10 +225,9 @@ def _right_step(codec: Codec, n: int, letters: list, r: list, cols, kernel: str)
     R o R.  Equal columns of R give equal columns of the product, so one of
     each is kept.  The meet is idempotent, so the residual runs on the
     distinct rows of [d1 o R | ... | dk o R] at cols and is expanded."""
-    key = _row_key(codec)
     # the columns of R at cols, one of each class of equal columns
     at_cols = [r[b::n] for b in cols]
-    at_cols = list(dict(zip(map(key, at_cols), at_cols)).values())
+    at_cols = [at_cols[b] for b in distinct_rows(codec, at_cols)[1]]
     k, w, h = len(letters[0]) // n, len(at_cols), len(letters[0]) + n
     bound = list(chain.from_iterable(at_cols))
     # row c of [d1; ...; dk; R]^T: column c of each dx, then of R
@@ -288,35 +237,24 @@ def _right_step(codec: Codec, n: int, letters: list, r: list, cols, kernel: str)
     square = chain.from_iterable(out[b * h + k * n : (b + 1) * h] for b in range(w))
     require_quasi_order_square(codec, r, list(square), n, bound)
     columns = [out[b * h + x * n : b * h + (x + 1) * n] for b in range(w) for x in range(k)]
-    state_class, distinct = _classes(codec, list(zip(*columns)))
-    m = len(distinct)
+    rows = list(zip(*columns))
+    state_class, firsts = distinct_rows(codec, rows)
+    m = len(firsts)
     if m < n:
-        columns = zip(*distinct)
+        columns = zip(*(rows[i] for i in firsts))
     # the residual of the transposed distinct rows: (i, j) -> the step at (j, i)
     columns = list(chain.from_iterable(columns))
     out = residual_levels(codec, kernel, columns, columns, k * w, m, m)
     if m == n:
-        return _transpose_levels(out, n)
+        return transpose_levels(out, n)
     pick = itemgetter(*state_class)
     lines = [pick(out[i::m]) for i in range(m)]
     return list(chain.from_iterable(lines[i] for i in state_class))
 
 
-def _row_key(codec: Codec):
-    """Row -> its hash key: the tuple of its levels, or on the product codec
-    of their (numerator, denominator) pairs, since hashing a `Fraction`
-    costs several times more, and more as its denominator grows."""
-    if codec.family == "product":
-        return lambda row: tuple(map(_NUM_DEN, row))
-    return tuple
-
-
-def _classes(codec: Codec, rows: list) -> tuple[list[int], list]:
-    """The class of each row (equal rows share one) and the distinct rows,
-    both in first-occurrence order."""
-    key, index = _row_key(codec), {}
-    classes = [index.setdefault(key(row), (len(index), row))[0] for row in rows]
-    return classes, [row for _, row in index.values()]
+def _crisp_levels(codec: Codec, r: list) -> list:
+    top, zero = codec.top, codec.zero
+    return [top if x == top else zero for x in r]
 
 
 def _changed_columns(old: list, new: list, n: int) -> list[int]:
@@ -331,9 +269,9 @@ def _meet_of_residua(codec: Codec, n: int, matrices, kernel: str) -> list:
     op(M(b,c), M(a,c)), for op the kernel: the residual of the stacked
     transposes of the M with themselves, transposed.  An M is n x n, or an
     n x 1 vector, whose level list is also its transpose's."""
-    stacked = list(chain.from_iterable(_transpose_levels(m, len(m) // n) for m in matrices))
+    stacked = list(chain.from_iterable(transpose_levels(m, len(m) // n) for m in matrices))
     out = residual_levels(codec, kernel, stacked, stacked, len(stacked) // n, n, n)
-    return _transpose_levels(out, n)
+    return transpose_levels(out, n)
 
 
 # ---------------------------------------------------------------------------
@@ -381,52 +319,37 @@ def greatest_invariant(
     spec = METHODS.get(method)
     if spec is None:
         raise ValidationError(f"unknown method {method!r}; expected one of {tuple(METHODS)}")
-    if spec.source == "weak" and not isinstance(machine, FuzzyRecognizer):
-        raise ValidationError(f"method {method} needs a recognizer")
+    if spec.source == "weak":
+        require_recognizer(machine, f"method {method}")
     if max_iter < 1:
         raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
-    if max_states < 1:
-        raise ValidationError("max_states must be at least 1")
-    if max_depth < 0:
-        raise ValidationError("max_depth must be nonnegative")
-    starts = ()
+    check_caps(max_states, max_depth)
+    lv = Levels(machine, start)
     if start is not None:
-        aut = underlying(machine)
-        if start.lattice != aut.lattice or start.rows != aut.n or not start.is_square:
-            raise ValidationError("start relation does not match the automaton")
-        require_quasi_order(start)
-        if spec.kernel == "biresiduum" and transpose(start) != start:
+        require_quasi_order_levels(lv.codec, lv.relation, lv.n)
+        if spec.kernel == "biresiduum" and transpose_levels(lv.relation, lv.n) != lv.relation:
             raise EquivalenceRequired(f"method {method} needs an equivalence start")
-        starts = (start,)
 
-    # the family is taken on the original machine, so that a truncated one
-    # keeps its discovery order; its vectors read the same as rows or columns
     left = spec.side == "left"
-    vectors = ()
     if spec.source == "weak":
-        family = reachable_state_family(
-            machine, "forward" if left else "reverse", max_states=max_states, max_depth=max_depth
-        )
-        vectors = tuple(vec for _, vec in family.members)
-    lv = _Levels(machine, *starts, *vectors)
-    codec, n = lv.codec, lv.n
-    current = lv.extra[0] if starts else [codec.top] * (n * n)
+        # taken on the original machine, so that a truncated family keeps
+        # its discovery order; its vectors read the same as rows or columns
+        family, truncated = lv.family("forward" if left else "reverse", max_states, max_depth)
     if left:
         # a left method is the right one on the reversed machine and R^T
-        lv, current = lv.reversed(), _transpose_levels(current, n)
-    if spec.source == "weak":
-        constraints = lv.extra[len(starts) :]
-    else:
-        constraints = [lv.tau] if lv.recognizer else []
-        if spec.source == "closed":
-            constraints += lv.delta
+        lv = lv.reversed()
+    codec, n = lv.codec, lv.n
+    current = lv.relation if start is not None else [codec.top] * (n * n)
+    constraints = list(family) if spec.source == "weak" else [lv.tau] if lv.recognizer else []
+    if spec.source == "closed":
+        constraints += lv.delta
     if constraints:
         constraint = _meet_of_residua(codec, n, constraints, spec.kernel)
         current = list(map(min, current, constraint))
     if spec.crisp:
         current = _crisp_levels(codec, current)
     if spec.source == "weak":
-        return _report(lv, method, current, len(vectors), family.complete)
+        return _report(lv, method, current, len(family), not truncated)
     if spec.source == "closed":
         return _report(lv, method, current, iterates=1, converged=True)
 
@@ -472,7 +395,7 @@ def greatest_weakly_invariant(
     return greatest_invariant(rec, method, start=start, max_states=max_states, max_depth=max_depth)
 
 
-def _report(lv: _Levels, method, relation, iterates, converged) -> ReductionReport:
+def _report(lv: Levels, method, relation, iterates, converged) -> ReductionReport:
     spec = METHODS[method]
     # a converged iterate was checked by its last step; a closed form, a
     # weak result or an iterate left by max_iter was not
@@ -482,7 +405,7 @@ def _report(lv: _Levels, method, relation, iterates, converged) -> ReductionRepo
     quotient = _quotient_from_reps(lv, relation, reps, converged and spec.source != "weak")
     if spec.side == "left":
         # back from the reversed machine
-        relation, quotient = _transpose_levels(relation, lv.n), reverse(quotient)
+        relation, quotient = transpose_levels(relation, lv.n), reverse(quotient)
     quasi_order = lv.matrix(relation)
     return ReductionReport(
         method=method,
@@ -500,7 +423,7 @@ def _report(lv: _Levels, method, relation, iterates, converged) -> ReductionRepo
 # quotients
 
 
-def _quotient_from_reps(lv: _Levels, r: list, reps: list[int], invariant: bool = False) -> Machine:
+def _quotient_from_reps(lv: Levels, r: list, reps: list[int], invariant: bool = False) -> Machine:
     """Transitions R o dx o R, initial sigma o R and terminal R o tau, at the
     representatives only, from two products for all letters: R at the
     representatives' rows times [d1 | ... | dk | tau] gives every R o dx
@@ -545,18 +468,16 @@ def _quotient_from_reps(lv: _Levels, r: list, reps: list[int], invariant: bool =
 def afterset_quotient(machine: Machine, r: FuzzyMatrix) -> Machine:
     """The afterset automaton/recognizer: one state per distinct row of r,
     transitions (R o dx o R), initial sigma o R, terminal R o tau."""
-    lv = _Levels.of_relation(machine, r)
-    levels = lv.extra[0]
-    return _quotient_from_reps(lv, levels, afterset_reps(lv.codec, levels, lv.n))
+    lv = Levels(machine, r)
+    return _quotient_from_reps(lv, lv.relation, afterset_reps(lv.codec, lv.relation, lv.n))
 
 
 def foreset_quotient(machine: Machine, r: FuzzyMatrix) -> Machine:
     """Column-based construction; isomorphic to the afterset quotient."""
-    lv = _Levels.of_relation(machine, r)
-    levels = lv.extra[0]
+    lv = Levels(machine, r)
     # the columns of r are the rows of its transpose, also a quasi-order
-    reps = afterset_reps(lv.codec, _transpose_levels(levels, lv.n), lv.n)
-    return _quotient_from_reps(lv, levels, reps)
+    reps = afterset_reps(lv.codec, transpose_levels(lv.relation, lv.n), lv.n)
+    return _quotient_from_reps(lv, lv.relation, reps)
 
 
 def quotient_quasi_order(r: FuzzyMatrix, s: FuzzyMatrix) -> FuzzyMatrix:
@@ -624,8 +545,8 @@ def alternate_reduce(
     """
     if schedule not in SCHEDULES:
         raise ValidationError(f"unknown schedule {schedule!r}; expected one of {sorted(SCHEDULES)}")
-    if schedule.startswith("w") and not isinstance(machine, FuzzyRecognizer):
-        raise ValidationError(f"schedule {schedule} needs a recognizer")
+    if schedule.startswith("w"):
+        require_recognizer(machine, f"schedule {schedule}")
     if max_rounds < 1:
         raise ValidationError(f"max_rounds must be at least 1, got {max_rounds}")
     methods = SCHEDULES[schedule]

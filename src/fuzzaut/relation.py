@@ -51,7 +51,7 @@ from .errors import (
     LatticeMismatch,
     NotQuasiOrder,
 )
-from .lattice import Codec, Lattice, ONE, ZERO
+from .lattice import _NUM_DEN, Codec, Lattice, ONE, ZERO
 
 
 @dataclass(frozen=True)
@@ -345,8 +345,12 @@ def join(p: FuzzyMatrix, q: FuzzyMatrix) -> FuzzyMatrix:
 
 
 def transpose(p: FuzzyMatrix) -> FuzzyMatrix:
-    flat = tuple(p.entries[j * p.cols + i] for i in range(p.cols) for j in range(p.rows))
-    return FuzzyMatrix(p.lattice, p.cols, p.rows, flat)
+    return FuzzyMatrix(p.lattice, p.cols, p.rows, tuple(transpose_levels(p.entries, p.cols)))
+
+
+def transpose_levels(r: Sequence, cols: int) -> list:
+    """The transpose of a flat row-major matrix with `cols` columns."""
+    return list(chain.from_iterable(r[j::cols] for j in range(cols)))
 
 
 def leq(p: FuzzyMatrix, q: FuzzyMatrix) -> bool:
@@ -496,10 +500,18 @@ def afterset_reps(codec: Codec, r: list, n: int, checked: bool = False) -> list[
     """
     if not checked:
         require_quasi_order_levels(codec, r, n)
-    first: dict[tuple, int] = {}
-    for i in range(n):
-        first.setdefault(tuple(r[i * n : (i + 1) * n]), i)
-    return list(first.values())
+    return distinct_rows(codec, [r[i * n : (i + 1) * n] for i in range(n)])[1]
+
+
+def distinct_rows(codec: Codec, rows: Sequence) -> tuple[list[int], list[int]]:
+    """The class of each level row (equal rows share one) and the index of
+    the first row of each class, both in first-occurrence order.  Product
+    rows are keyed by (numerator, denominator) pairs: hashing a `Fraction`
+    costs several times more, and more as its denominator grows."""
+    key = (lambda row: tuple(map(_NUM_DEN, row))) if codec.family == "product" else tuple
+    index: dict[tuple, tuple[int, int]] = {}
+    classes = [index.setdefault(key(row), (len(index), i))[0] for i, row in enumerate(rows)]
+    return classes, [i for _, i in index.values()]
 
 
 def foresets(r: FuzzyMatrix) -> list[tuple[int, FuzzyVector]]:

@@ -144,6 +144,29 @@ class TestDocuments:
         path.write_text("{nope")
         assert main(["info", str(path)]) == 2
 
+    def test_non_utf8_document_rejected(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(json.dumps(SHOWCASE_DOC).replace('"1"', '"é"').encode("latin-1"))
+        assert main(["info", str(path)]) == 2
+        assert "unreadable document" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["version", "n"])
+    def test_integer_past_the_digit_limit_rejected(self, tmp_path, capsys, field):
+        # CPython refuses to convert an integer string of more than 4300 digits
+        doc = dict(SHOWCASE_DOC, lattice={"kind": "chain", "n": 4})
+        small = '"version": 1' if field == "version" else '"n": 4'
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc).replace(small, f'"{field}": {"7" * 5000}'))
+        assert main(["info", str(path)]) == 2
+        assert "unreadable document" in capsys.readouterr().err
+
+    def test_deeply_nested_document_rejected(self, tmp_path, capsys):
+        doc = dict(SHOWCASE_DOC, sigma="@")
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(doc).replace('"@"', "[" * 100_000 + "]" * 100_000))
+        assert main(["info", str(path)]) == 2
+        assert "unreadable document" in capsys.readouterr().err
+
     def test_report_document_shape(self):
         report = greatest_invariant(tau_chain_recognizer(), "wri")
         doc = report_to_document(report)

@@ -13,6 +13,7 @@ from fuzzaut import (
     LatticeMismatch,
     NotASuperset,
     UnknownLetter,
+    ValidationError,
     are_isomorphic,
     check_blocking,
     conflict_check,
@@ -24,6 +25,7 @@ from fuzzaut import (
     parallel_compose,
     prefix_closure_at,
     product_compose,
+    reachable_state_family,
     recognize,
     transition_of_word,
     words_up_to,
@@ -303,6 +305,51 @@ class TestBlocking:
         elif verdict.verdict == "nonblocking":
             for w in words_up_to(k, 3):
                 assert closure(w) == generate(recz, w)
+
+
+    @pytest.mark.parametrize("name", sorted(LATTICES))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_verdict_and_witness_match_the_public_route(self, name, data):
+        # the product lattice's families need not close: truncate them
+        max_states = 8 if name == "product" else 4096
+        letters = ("x", "y")[: data.draw(st.integers(1, 2))]
+        recz = data.draw(recognizers(LATTICES[name], letters))
+        horizon = data.draw(st.integers(1, 3))
+        family = reachable_state_family(recz, "forward", max_states=max_states)
+        expected = ("undetermined" if family.truncated else "nonblocking", None)
+        for word, _ in family.members:
+            if family.truncated and len(word) > horizon:
+                break
+            if prefix_closure_at(recz, word, recz.n) < generate(recz, word):
+                expected = ("blocking", word)
+                break
+        verdict = check_blocking(recz, horizon, max_states=max_states)
+        assert (verdict.verdict, verdict.witness) == expected
+
+
+# each public function that reads sigma or tau, on a bare automaton a
+# (r is a recognizer over the same letters, for the two-operand ones)
+NEEDS_A_RECOGNIZER = {
+    "reachable_state_family": lambda a, r: reachable_state_family(a, "forward"),
+    "check_blocking": lambda a, r: check_blocking(a, 4),
+    "conflict_check": lambda a, r: conflict_check(r, a, 4),
+    "parallel_compose_left": lambda a, r: parallel_compose(a, r),
+    "parallel_compose_right": lambda a, r: parallel_compose(r, a),
+    "product_compose_left": lambda a, r: product_compose(a, r),
+    "product_compose_right": lambda a, r: product_compose(r, a),
+    "prefix_closure_at": lambda a, r: prefix_closure_at(a, (0,), 2),
+    "recognize": lambda a, r: recognize(a, (0,)),
+    "generate": lambda a, r: generate(a, (0,)),
+    "input_extension": lambda a, r: input_extension(a, ("x", "y")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEEDS_A_RECOGNIZER))
+def test_bare_automaton_is_refused_where_a_recognizer_is_needed(name):
+    r = blocking_showcase_recognizer()
+    with pytest.raises(ValidationError, match="needs a recognizer"):
+        NEEDS_A_RECOGNIZER[name](r.automaton, r)
 
 
 class TestConflict:

@@ -9,12 +9,14 @@ from fuzzaut import (
     EquivalenceRequired,
     FuzzyMatrix,
     FuzzyRecognizer,
+    Lattice,
     NotQuasiOrder,
     ValidationError,
     afterset_quotient,
     aftersets,
     alternate_reduce,
     are_isomorphic,
+    check_blocking,
     crisp_part,
     foreset_quotient,
     from_fuzzy_set_left,
@@ -114,6 +116,22 @@ class TestRStep:
             assert report.converged
             # one product per step after the first iterate, one for the quotient
             assert len(calls) == report.iterates
+
+    def test_one_encode_per_blocking_check_and_per_weak_method(self, monkeypatch, rng):
+        # the state family, the reach matrix and every member's test run on
+        # the one codec of the machine's levels
+        calls = []
+        original = Lattice.encode
+        counted = lambda *args: calls.append(args) or original(*args)  # noqa: E731
+        monkeypatch.setattr(Lattice, "encode", counted)
+        machine = rand_recognizer(rng, GODEL, 6)
+        for run in [lambda: check_blocking(machine, 4)] + [
+            lambda method=method: greatest_invariant(machine, method)
+            for method in ("wri", "wli", "wrie", "wlie")
+        ]:
+            calls.clear()
+            run()
+            assert len(calls) == 1
 
     def test_report_checks_only_an_unchecked_result(self, monkeypatch, rng):
         # the step that finds a converged iterate equal to its successor has
