@@ -4,7 +4,9 @@ Words are tuples of alphabet indices; the empty word is the empty tuple.
 Letter names only matter at the document/CLI boundary.
 
 `Levels` is the one place that encodes a machine: its letters, sigma, tau
-and at most one relation, with one codec.  `Levels.family`, the one search
+and at most one relation, with one codec.  A word's fuzzy state, its
+membership degree and its generated degree are one walk on those levels
+(`Levels.state_after`), decoded once.  `Levels.family`, the one search
 of the reachable fuzzy-state family, runs on its caller's levels: the weak
 reductions and the blocking check use its members as they are, and
 `reachable_state_family` decodes them once.
@@ -32,8 +34,6 @@ from .relation import (
     FuzzyVector,
     compose,
     compose_levels,
-    compose_vm,
-    overlap,
     transpose,
     transpose_levels,
 )
@@ -159,21 +159,22 @@ def transition_of_word(machine: Machine, word: Word) -> FuzzyMatrix:
 
 def state_after(rec: FuzzyRecognizer, word: Word) -> FuzzyVector:
     """The fuzzy state sigma o delta_u the word drives the recognizer to."""
-    check_word(require_recognizer(rec, "a word's fuzzy state").alphabet, word)
-    v = rec.sigma
-    for i in word:
-        v = compose_vm(v, rec.matrix(i))
-    return v
+    lv = Levels(require_recognizer(rec, "a word's fuzzy state"))
+    return FuzzyVector(lv.aut.lattice, lv.codec.decode(lv.state_after(word)))
 
 
 def recognize(rec: FuzzyRecognizer, word: Word) -> Fraction:
     """Membership degree of the word: sigma o delta_u o tau."""
-    return overlap(state_after(rec, word), rec.tau)
+    lv = Levels(require_recognizer(rec, "a word's fuzzy state"))
+    n = lv.n
+    return lv.codec.decode(compose_levels(lv.codec, lv.state_after(word), lv.tau, 1, n, 1))[0]
 
 
 def generate(rec: FuzzyRecognizer, word: Word) -> Fraction:
     """Degree to which the word drives some initial state anywhere at all."""
-    return max(state_after(rec, word).entries)
+    lv = Levels(require_recognizer(rec, "a word's fuzzy state"))
+    # levels are ordered as their values
+    return lv.codec.decode([max(lv.state_after(word))])[0]
 
 
 def reverse(machine: Machine) -> Machine:
@@ -303,6 +304,14 @@ class Levels:
         if self.relation is not None:
             rev.relation = transpose_levels(self.relation, self.n)
         return rev
+
+    def state_after(self, word: Word) -> list:
+        """sigma o delta_u, letter by letter on these levels."""
+        check_word(self.aut.alphabet, word)
+        codec, n, v = self.codec, self.n, self.sigma
+        for i in word:
+            v = compose_levels(codec, v, self.delta[i], 1, n, n)
+        return v
 
     def matrix(self, levels: list) -> FuzzyMatrix:
         return FuzzyMatrix(self.aut.lattice, self.n, self.n, self.codec.decode(levels))

@@ -12,6 +12,8 @@ the horizon are decided exactly and the rest is left 'undetermined'.
 
 `check_blocking` runs the family, the reach matrix and every member's test
 on one codec (`automaton.Levels`); only the witness word leaves it.
+`prefix_closure_at` walks its word, builds the reach matrix and reads tau
+on one codec too, and decodes one value.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .automaton import (
     Word,
     check_word,
     require_recognizer,
-    state_after,
 )
 from .errors import (
     EmptySharedAlphabet,
@@ -35,7 +36,7 @@ from .errors import (
     ValidationError,
 )
 from .lattice import Codec
-from .relation import FuzzyMatrix, FuzzyVector, compose_levels, compose_vm, overlap
+from .relation import FuzzyMatrix, FuzzyVector, compose_levels
 
 
 @dataclass(frozen=True)
@@ -190,9 +191,10 @@ def prefix_closure_at(rec: FuzzyRecognizer, word: Word, horizon: int) -> Fractio
     as it always is for horizon >= n - 1."""
     if horizon < 0:
         raise ValidationError("horizon must be nonnegative")
-    v = state_after(rec, word)
-    reach = bounded_reach_matrix(rec, horizon)
-    return overlap(compose_vm(v, reach), rec.tau)
+    lv = Levels(require_recognizer(rec, "a word's fuzzy state"))
+    codec, n = lv.codec, lv.n
+    f = compose_levels(codec, lv.state_after(word), _reach_levels(lv, horizon), 1, n, n)
+    return codec.decode(compose_levels(codec, f, lv.tau, 1, n, 1))[0]
 
 
 @dataclass(frozen=True)

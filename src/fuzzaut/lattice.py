@@ -180,25 +180,28 @@ class Lattice:
         """A codec for the union of the values in `groups` (sequences of
         carrier values), and each group as a list of levels.
 
-        Values are keyed by (numerator, denominator): hashing a `Fraction`
-        costs several times more than hashing that pair.
+        Each distinct entry object is mapped to its level once, keyed by
+        (numerator, denominator): the matrices repeat a few value objects,
+        and hashing a `Fraction` costs several times more than that pair.
         """
         if self.kind == "product":
             return Codec("product", ZERO, ONE, None), [list(g) for g in groups]
-        keyed = [list(map(_NUM_DEN, g)) for g in groups]
+        objects = {id(x): x for g in groups for x in g}
+        keys = {i: _NUM_DEN(x) for i, x in objects.items()}
         if self.kind in ("chain", "lukasiewicz"):
-            top = self.n if self.kind == "chain" else lcm(*{d for keys in keyed for _, d in keys})
+            top = self.n if self.kind == "chain" else lcm(*{d for _, d in keys.values()})
             codec = Codec("shift", 0, top, _ShiftValues(top))
-            return codec, [[num * (top // den) for num, den in keys] for keys in keyed]
-        values = {(0, 1): ZERO, (1, 1): ONE}
-        for keys, g in zip(keyed, groups):
-            values.update(zip(keys, g))
-        # exact integer key: distinct p/q, r/s differ by >= 1/(qs) > 2**-shift
-        shift = 2 * max(den for _, den in values).bit_length()
-        ordered = sorted(values, key=lambda key: (key[0] << shift) // key[1])
-        rank = {key: i for i, key in enumerate(ordered)}
-        codec = Codec("min", 0, len(ordered) - 1, [values[key] for key in ordered])
-        return codec, [list(map(rank.__getitem__, keys)) for keys in keyed]
+            level = {i: num * (top // den) for i, (num, den) in keys.items()}
+        else:
+            values = {(0, 1): ZERO, (1, 1): ONE}
+            values.update((key, objects[i]) for i, key in keys.items())
+            # exact integer key: distinct p/q, r/s differ by >= 1/(qs) > 2**-shift
+            shift = 2 * max(den for _, den in values).bit_length()
+            ordered = sorted(values, key=lambda key: (key[0] << shift) // key[1])
+            rank = {key: i for i, key in enumerate(ordered)}
+            codec = Codec("min", 0, len(ordered) - 1, [values[key] for key in ordered])
+            level = {i: rank[key] for i, key in keys.items()}
+        return codec, [list(map(level.__getitem__, map(id, g))) for g in groups]
 
     # -- text syntax -------------------------------------------------------
 
@@ -244,9 +247,11 @@ class Codec:
 
     `zero` and `top` are the levels of 0 and 1.  The relation kernel
     applies each family's formulas (see the module docstring) to a whole
-    line at once, one level against every entry
-    (`relation.broadcast_levels`), from the formula alone: a shift codec's
-    L can be about a million, so no table over the levels is ever built.
+    line at once, one level against every entry of a line packed into one
+    int of lanes that hold 2 top + 1 (`relation.broadcast_levels`), from
+    the formula alone: a shift codec's L can be about a million, or beyond
+    2^63, so no table over the levels is ever built and the lanes widen
+    with top.
     `otimes` is the scalar * on levels, for the DES Kronecker product.
     """
 

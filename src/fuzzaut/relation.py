@@ -12,19 +12,27 @@ shapes, through the same helper.
 
 For the min and shift families the kernel's inner loop is one row
 broadcast (`broadcast_levels`): row a of P o Q is the entrywise join over
-c of row c of Q scaled by the single level P(a,c), computed as one
-C-level `map(max, zip(...))` over the scaled rows.  A scaled row is built
-once per (c, level) by the family's formula over the whole row, level 0
-is skipped (x * 0 = 0) and top passes the row through (x * 1 = x).  When
-the result has more rows than columns the kernel broadcasts columns of P
-by the levels of Q instead (* commutes), so a vector costs one pass.  A
-1 x 1 result (`overlap`) has no line to broadcast: it is one pass over
-the pairs.  Product compositions multiply the nonzero pairs only.
+c of row c of Q scaled by the single level P(a,c).  Each row is packed
+once per call into one int of B-byte lanes, B the least with
+2 top + 1 < 2^(8B - 1), so that a lane holds the sum of two levels below
+its top bit, the guard; B has no cap, as a Lukasiewicz L can exceed 2^63.
+A scaled row is a few whole-int operations, the family's formula clamped
+into [0, top] (a lane holds no negative or over-top value): min(y, k) for
+min *, a saturating y - (L - k) for shift *, min(y + L - k, L) for shift
+->.  The join of two rows is a guard-bit select: g = ((a | H) - b) & H
+keeps the guard of each lane where a >= b, g - (g >> (8B - 1)) fills the
+bits below it, and an xor through that mask picks a or b.  A scaled row is
+built once per (c, level), level 0 is skipped (x * 0 = 0) and top passes
+the row through (x * 1 = x).  When the result has more rows than columns
+the kernel broadcasts columns of P by the levels of Q instead (*
+commutes), so a vector costs one pass.  A 1 x 1 result (`overlap`) has no
+line to broadcast: it is one pass over the pairs.  Product compositions
+multiply the nonzero pairs only.
 
 Every meet of residua is one call of `residual_levels`, the right residual
 of relations: for a k x m P and a k x n Q, the m x n matrix (a,b) -> the
 meet over c of P(c,a) -> Q(c,b) (or <->).  For min and shift it is the
-same broadcast with `map(min, zip(...))`, the columns of P as scalars and
+same broadcast with the meet select, the columns of P as scalars and
 the rows of Q as lines; product takes u -> v over column pairs in closed
 form.  The reduction's steps, closed forms and constraints and
 `from_fuzzy_set_right` all use it.  The reduction driver keeps its
@@ -41,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, count
+from itertools import chain
 from operator import add, le
 from typing import Iterable, Sequence
 
@@ -208,68 +216,118 @@ def broadcast_levels(codec: Codec, op: str, scalars: Iterable, lines: list, widt
     For each level list s in `scalars` (of length len(lines)), one output
     line of `width` levels: for op "otimes" the entrywise join over c of
     lines[c] * s[c], for op "residuum" or "biresiduum" the entrywise meet
-    over c of s[c] -> lines[c] or s[c] <-> lines[c].  Each output line is
-    one C-level `map(max, zip(...))` or `map(min, zip(...))` over its
-    scaled lines.  A level whose scaled line is the aggregate's identity
-    (0 for * and for ->) is skipped, top passes its line through unscaled
-    (x * 1 = x, 1 -> y = 1 <-> y = y), and every other scaled line is built
-    once per (c, level) and shared by the output lines that need it.
+    over c of s[c] -> lines[c] or s[c] <-> lines[c].
+
+    Each line is packed once into one int of B-byte lanes, B the least
+    with 2 top + 1 < 2^(8B - 1): a lane holds the sum of two levels and
+    still has its top bit, the guard, clear.  The family's formula (see
+    `Codec`) is a few whole-int operations per scaled line, clamped into
+    [0, top]; the join or meet of two lines is a guard-bit select.  A level
+    whose scaled line is the aggregate's identity (0 for * and for ->) is
+    skipped, top passes its line through unscaled (x * 1 = x, 1 -> y =
+    1 <-> y = y), and every other scaled line is built once per (c, level)
+    and shared by the output lines that need it.
     """
     top = codec.top
-    if op == "otimes":
-        agg, base, skip = max, [codec.zero] * width, codec.zero
+    size = (2 * top + 1).bit_length() // 8 + 1
+    shift, nbytes = 8 * size - 1, width * size
+    ones = int.from_bytes(b"\1".ljust(size, b"\0") * width, "little")
+    guard, tops = ones << shift, top * ones
+
+    def ge(a: int, b: int) -> int:
+        # the bits below the guard in the lanes where a >= b: the guard
+        # survives a lane's subtraction exactly there, and g - (g >> shift)
+        # fills the bits below it (the operands' guards are clear, so a
+        # select never needs the guard bit itself)
+        g = ((a | guard) - b) & guard
+        return g - (g >> shift)
+
+    if size == 1:
+        packed = [int.from_bytes(bytes(line), "little") for line in lines]
+        unpack = lambda z: list(z.to_bytes(nbytes, "little"))  # noqa: E731
     else:
-        agg, base, skip = min, [top] * width, codec.zero if op == "residuum" else None
-    scale = _scaler(codec.family, op, top)
-    memo = {}
+        packed = [
+            int.from_bytes(b"".join([y.to_bytes(size, "little") for y in line]), "little")
+            for line in lines
+        ]
 
-    def scaled_line(c: int, level: int) -> list:
-        line = memo[c, level] = scale(lines[c], level)
-        return line
+        def unpack(z: int) -> list:
+            data = z.to_bytes(nbytes, "little")
+            return [int.from_bytes(data[i : i + size], "little") for i in range(0, nbytes, size)]
 
+    if codec.family == "min":
+        if op == "otimes":
+            # min(y, k)
+            def scale(y: int, k: int) -> int:
+                k *= ones
+                return y ^ ((y ^ k) & ge(y, k))
+
+        elif op == "residuum":
+            # top where y >= k, else y
+            def scale(y: int, k: int) -> int:
+                return y ^ ((y ^ tops) & ge(y, k * ones))
+
+        else:
+            # top where y = k, else min(y, k)
+            def scale(y: int, k: int) -> int:
+                k *= ones
+                above = ge(y, k)
+                low = y ^ ((y ^ k) & above)
+                return low ^ ((low ^ tops) & above & ge(k, y))
+
+    elif op == "otimes":
+        # max(y - (L - k), 0): the guard keeps a lane's borrow in the lane
+        def scale(y: int, k: int) -> int:
+            s = (y | guard) - (top - k) * ones
+            g = s & guard
+            return s & (g - (g >> shift))
+
+    elif op == "residuum":
+        # min(y + L - k, L)
+        def scale(y: int, k: int) -> int:
+            s = y + (top - k) * ones
+            return s ^ ((s ^ tops) & ge(s, tops))
+
+    else:
+        # L - |k - y| = L - max(y, k) + min(y, k)
+        def scale(y: int, k: int) -> int:
+            k *= ones
+            swap = (y ^ k) & ge(y, k)
+            return tops - (k ^ swap) + (y ^ swap)
+
+    join = op == "otimes"
+    skip = codec.zero if op != "biresiduum" else None
+    memo = _ScaledLines(packed, scale)
     out = []
     for s in scalars:
-        # a memo miss (or an empty line, rebuilt for free) builds the line
-        scaled = [
-            line if level == top else memo.get((c, level)) or scaled_line(c, level)
-            for c, line, level in zip(count(), lines, s)
+        scaled = iter([
+            packed[c] if level == top else memo[c, level]
+            for c, level in enumerate(s)
             if level != skip
-        ]
-        # base keeps the tuples nonempty when every level is skipped
-        out.append(list(map(agg, zip(base, *scaled))))
+        ])
+        # with every level skipped, the aggregate's identity: zeros or tops
+        acc = next(scaled, 0 if join else tops)
+        for z in scaled:
+            # the select, inlined: d is acc ^ z in the lanes where acc >= z,
+            # so acc ^ d is the lane-wise min and z ^ d the max
+            g = ((acc | guard) - z) & guard
+            d = (acc ^ z) & (g - (g >> shift))
+            acc = z ^ d if join else acc ^ d
+        out.append(unpack(acc))
     return out
 
 
-def _scaler(family: str, op: str, top: int):
-    """(line, k) -> the line with each level y replaced by y * k, k -> y or
-    k <-> y: the family's formula (see `Codec`) written over a whole line.
-    Shift-family * and -> lines are left unclamped: below 0 or above L,
-    they lose to the aggregate's base of zeros or tops."""
-    if family == "min":
-        if op == "otimes":
-            return lambda line, k: [y if y < k else k for y in line]
-        if op == "residuum":
-            return lambda line, k: [top if y >= k else y for y in line]
-        return lambda line, k: [top if y == k else y if y < k else k for y in line]
-    if op == "otimes":
-        # y * k = max(y + k - L, 0)
-        def scale(line, k):
-            d = top - k
-            return [y - d for y in line]
+class _ScaledLines(dict):
+    """(c, level) -> packed[c] scaled by level, built on first use."""
 
-    elif op == "residuum":
-        # k -> y = min(L - k + y, L)
-        def scale(line, k):
-            e = top - k
-            return [y + e for y in line]
+    def __init__(self, packed: list, scale):
+        super().__init__()
+        self.packed, self.scale = packed, scale
 
-    else:
-        # k <-> y = L - |k - y|
-        def scale(line, k):
-            e, g = top - k, top + k
-            return [y + e if y < k else g - y for y in line]
-
-    return scale
+    def __missing__(self, key: tuple) -> int:
+        c, level = key
+        z = self[key] = self.scale(self.packed[c], level)
+        return z
 
 
 def residual_levels(codec: Codec, op: str, p: list, q: list, k: int, m: int, n: int) -> list:

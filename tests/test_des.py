@@ -10,6 +10,7 @@ from fuzzaut import (
     EmptySharedAlphabet,
     FuzzyAutomaton,
     FuzzyRecognizer,
+    Lattice,
     LatticeMismatch,
     NotASuperset,
     UnknownLetter,
@@ -30,6 +31,7 @@ from fuzzaut import (
     transition_of_word,
     words_up_to,
 )
+from fuzzaut.automaton import state_after
 from fuzzaut.des import bounded_reach_matrix
 
 from conftest import (
@@ -227,6 +229,20 @@ class TestPrefixClosure:
         for w in words_up_to(2, 3):
             pc = prefix_closure_at(recz, w, 6)
             assert recognize(recz, w) <= pc <= generate(recz, w)
+
+    def test_one_encode_per_word_walk(self, monkeypatch, rng):
+        # the walk, tau, the max and the reach matrix read the one codec of
+        # the machine's levels, whatever the word's length
+        calls = []
+        original = Lattice.encode
+        counted = lambda *args: calls.append(args) or original(*args)  # noqa: E731
+        monkeypatch.setattr(Lattice, "encode", counted)
+        recz = rand_recognizer(rng, GODEL, 5)
+        word = (0, 1, 1, 0)
+        for run in (state_after, recognize, generate, lambda r, w: prefix_closure_at(r, w, 3)):
+            calls.clear()
+            run(recz, word)
+            assert len(calls) == 1
 
 
 class TestReachMatrix:

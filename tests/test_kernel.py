@@ -41,7 +41,7 @@ from fuzzaut import (
     transpose,
     underlying,
 )
-from fuzzaut.lattice import ONE, ZERO
+from fuzzaut.lattice import ONE, ZERO, Lattice
 from fuzzaut.oracle import reference_compose
 from fuzzaut.reduction import METHODS, l_step, leq_step, r_step, req_step
 from fuzzaut.relation import residual_levels
@@ -322,6 +322,75 @@ def test_lukasiewicz_large_common_denominator():
         reference_step(machine, r, "right", luk.residuum),
         reference_step(machine, r, "right", luk.biresiduum),
     )
+
+
+def lane_boundaries():
+    """Case -> (lattice, its values other than 0 and 1, the codec's top).
+    The kernel packs a line into lanes of B bytes, B the least with
+    2 top + 1 < 2^(8B - 1): top 63 gives B = 1, top 64 and top 100 give
+    B = 2 and a Lukasiewicz L near 2^64 gives B = 9."""
+    godel, luk = Lattice.godel(), Lattice.lukasiewicz()
+    inner = [F(k, 997) for k in sorted(random.Random(16).sample(range(1, 997), 63))]
+    p, q = 2**32 - 5, 2**32 - 17  # both prime
+    big = p * q
+    return {
+        "godel-64-values": (godel, inner[:62], 63),
+        "godel-65-values": (godel, inner, 64),
+        "chain63": (Lattice.chain(63), [F(k, 63) for k in range(1, 63)], 63),
+        "chain64": (Lattice.chain(64), [F(k, 64) for k in range(1, 64)], 64),
+        # each level fits a 1-byte lane's 7 bits, the sum of two does not
+        "chain100": (Lattice.chain(100), [F(k, 100) for k in (1, 2, 37, 50, 63, 98, 99)], 100),
+        "lukasiewicz-63": (luk, [F(k, d) for d in (7, 9) for k in range(1, d)], 63),
+        "lukasiewicz-64": (luk, [F(k, 64) for k in range(1, 64, 2)], 64),
+        "lukasiewicz-near-2^64": (
+            luk,
+            [F(k, d) for d in (p, q) for k in (1, 2, d // 3, d // 2, d - 2, d - 1)]
+            + [F(1, big), F(big - 1, big)],
+            big,
+        ),
+    }
+
+
+LANE_BOUNDARIES = lane_boundaries()
+
+
+@pytest.mark.parametrize("case", sorted(LANE_BOUNDARIES))
+def test_kernel_at_lane_width_boundaries(case):
+    # every operand holds every value of the case, so each codec has the
+    # case's top, and levels 1 and top - 1 occur as scalars and in lines
+    lat, inner, top = LANE_BOUNDARIES[case]
+    pool = [ZERO, ONE, *inner]
+    rng = random.Random(case)
+
+    def covering(rows, cols):
+        entries = pool + [rng.choice(pool) for _ in range(rows * cols - len(pool))]
+        rng.shuffle(entries)
+        return FuzzyMatrix(lat, rows, cols, tuple(entries))
+
+    # tall (rows > cols) broadcasts columns of P, wide broadcasts rows of Q
+    for rows, inner_dim, cols in ((12, 7, 10), (10, 7, 12)):
+        p, q = covering(rows, inner_dim), covering(inner_dim, cols)
+        assert lat.encode(p.entries, q.entries)[0].top == top
+        assert compose(p, q) == reference_compose(p, q)
+    k, m, n = 9, 8, 8
+    p, q = covering(k, m), covering(k, n)
+    codec, (pl, ql) = lat.encode(p.entries, q.entries)
+    assert codec.top == top
+    for op in ("residuum", "biresiduum"):
+        scalar = getattr(lat, op)
+        expected = tuple(
+            min(scalar(p.entries[c * m + a], q.entries[c * n + b]) for c in range(k))
+            for a in range(m)
+            for b in range(n)
+        )
+        assert codec.decode(residual_levels(codec, op, pl, ql, k, m, n)) == expected
+    n = 9
+    delta = {x: covering(n, n) for x in ("x", "y")}
+    machine = FuzzyAutomaton(lat, tuple(str(i) for i in range(n)), ("x", "y"), delta)
+    drawn = from_fuzzy_set_right(FuzzyVector(lat, tuple(rng.choice(pool) for _ in range(n))))
+    for r in (FuzzyMatrix.identity(lat, n), drawn, transpose(drawn)):
+        assert r_step(machine, r) == reference_step(machine, r, "right", lat.residuum)
+        assert req_step(machine, r) == reference_step(machine, r, "right", lat.biresiduum)
 
 
 def test_min_codec_orders_values_a_float_cannot_tell_apart():
