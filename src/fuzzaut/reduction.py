@@ -36,9 +36,11 @@ its members are constraints as they stand, with no decode.  It is taken on
 the original machine, forward on the left: its members read the same as
 rows or as columns.  The closed form, R(a,b) = the meet over letters
 x and states c of dx(b,c) -> dx(a,c), is one more such constraint, the
-letters met in with tau.  Equivalence methods use the biresiduum throughout.
-The constraints, the closed form and the steps are all meets of residua,
-each one call of `relation.residual_levels`.
+letters met in with tau.  The constraints, the closed form and the steps
+are all meets of residua over term vectors, each one `_meet_of_residua`.
+Equivalence methods meet biresidua, and x <-> y = (x -> y) meet (y -> x):
+E^r = S meet S^T for S the quasi-order step at E, and likewise for each
+constraint.
 
 A step makes one composition, [d1; ...; dk; R] o R, which gives every
 dx o R, read by the step's residual, and R o R, read by the quasi-order
@@ -213,18 +215,18 @@ def _letters(lv: Levels) -> list:
 
 def _right_step(codec: Codec, n: int, letters: list, r: list, cols, kernel: str) -> list:
     """The meet over letters x and the columns c in `cols` of
-    (dx o R)(b,c) op (dx o R)(a,c) at (a,b), op the kernel: R^r when cols
-    holds every column, and in the driver the terms of the columns that
-    changed in the last iterate (see the module docstring).  `letters`
-    holds the columns of [d1; ...; dk].  R is checked to be reflexive and,
-    at `cols`, transitive first.
+    (dx o R)(b,c) -> (dx o R)(a,c) at (a,b), met with its transpose for
+    the biresiduum kernel: R^r when cols holds every column, and in the
+    driver the terms of the columns that changed in the last iterate (see
+    the module docstring).  `letters` holds the columns of [d1; ...; dk].
+    R is checked to be reflexive and, at `cols`, transitive first.
 
     One product, [d1; ...; dk; R] o R at cols, gives every dx o R and R o R
     there.  It is taken transposed, (R at cols)^T o [d1; ...; dk; R]^T, so
     that each row of the result holds one column of every dx o R and of
     R o R.  Equal columns of R give equal columns of the product, so one of
-    each is kept.  The meet is idempotent, so the residual runs on the
-    distinct rows of [d1 o R | ... | dk o R] at cols and is expanded."""
+    each is kept.  The terms are the columns of every dx o R there, met by
+    `_meet_of_residua`."""
     # the columns of R at cols, one of each class of equal columns
     at_cols = [r[b::n] for b in cols]
     at_cols = [at_cols[b] for b in distinct_rows(codec, at_cols)[1]]
@@ -237,19 +239,7 @@ def _right_step(codec: Codec, n: int, letters: list, r: list, cols, kernel: str)
     square = chain.from_iterable(out[b * h + k * n : (b + 1) * h] for b in range(w))
     require_quasi_order_square(codec, r, list(square), n, bound)
     columns = [out[b * h + x * n : b * h + (x + 1) * n] for b in range(w) for x in range(k)]
-    rows = list(zip(*columns))
-    state_class, firsts = distinct_rows(codec, rows)
-    m = len(firsts)
-    if m < n:
-        columns = zip(*(rows[i] for i in firsts))
-    # the residual of the transposed distinct rows: (i, j) -> the step at (j, i)
-    columns = list(chain.from_iterable(columns))
-    out = residual_levels(codec, kernel, columns, columns, k * w, m, m)
-    if m == n:
-        return transpose_levels(out, n)
-    pick = itemgetter(*state_class)
-    lines = [pick(out[i::m]) for i in range(m)]
-    return list(chain.from_iterable(lines[i] for i in state_class))
+    return _meet_of_residua(codec, n, columns, kernel)
 
 
 def _crisp_levels(codec: Codec, r: list) -> list:
@@ -264,14 +254,27 @@ def _changed_columns(old: list, new: list, n: int) -> list[int]:
     return [b for b in range(n) if any(diff[b::n])]
 
 
-def _meet_of_residua(codec: Codec, n: int, matrices, kernel: str) -> list:
-    """R(a,b) = the meet over the matrices M and their columns c of
-    op(M(b,c), M(a,c)), for op the kernel: the residual of the stacked
-    transposes of the M with themselves, transposed.  An M is n x n, or an
-    n x 1 vector, whose level list is also its transpose's."""
-    stacked = list(chain.from_iterable(transpose_levels(m, len(m) // n) for m in matrices))
-    out = residual_levels(codec, kernel, stacked, stacked, len(stacked) // n, n, n)
-    return transpose_levels(out, n)
+def _meet_of_residua(codec: Codec, n: int, terms: list, kernel: str) -> list:
+    """R(a,b) = the meet over the term vectors v (each over the n states)
+    of v(b) -> v(a), or of v(a) <-> v(b) for the biresiduum kernel.  The
+    residual X(i,j) = the meet over v of v(i) -> v(j) runs on one state of
+    each class of states equal in every term; R is X^T for the residuum and
+    the symmetric X meet X^T for the biresiduum, expanded over the classes."""
+    rows = list(zip(*terms))
+    state_class, firsts = distinct_rows(codec, rows)
+    m = len(firsts)
+    if m < n:
+        terms = zip(*(rows[i] for i in firsts))
+    flat = list(chain.from_iterable(terms))
+    residual = residual_levels(codec, flat, flat, len(flat) // m, m, m)
+    out = transpose_levels(residual, m)
+    if kernel == "biresiduum":
+        out = list(map(min, residual, out))
+    if m == n:
+        return out
+    pick = itemgetter(*state_class)
+    lines = [pick(out[i * m : (i + 1) * m]) for i in range(m)]
+    return list(chain.from_iterable(lines[i] for i in state_class))
 
 
 # ---------------------------------------------------------------------------
@@ -340,11 +343,12 @@ def greatest_invariant(
         lv = lv.reversed()
     codec, n = lv.codec, lv.n
     current = lv.relation if start is not None else [codec.top] * (n * n)
-    constraints = list(family) if spec.source == "weak" else [lv.tau] if lv.recognizer else []
+    # the constraint's terms: tau or the family members, and every letter's columns
+    terms = list(family) if spec.source == "weak" else [lv.tau] if lv.recognizer else []
     if spec.source == "closed":
-        constraints += lv.delta
-    if constraints:
-        constraint = _meet_of_residua(codec, n, constraints, spec.kernel)
+        terms += [d[c::n] for d in lv.delta for c in range(n)]
+    if terms:
+        constraint = _meet_of_residua(codec, n, terms, spec.kernel)
         current = list(map(min, current, constraint))
     if spec.crisp:
         current = _crisp_levels(codec, current)

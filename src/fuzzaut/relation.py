@@ -31,11 +31,12 @@ multiply the nonzero pairs only.
 
 Every meet of residua is one call of `residual_levels`, the right residual
 of relations: for a k x m P and a k x n Q, the m x n matrix (a,b) -> the
-meet over c of P(c,a) -> Q(c,b) (or <->).  For min and shift it is the
-same broadcast with the meet select, the columns of P as scalars and
-the rows of Q as lines; product takes u -> v over column pairs in closed
-form.  The reduction's steps, closed forms and constraints and
-`from_fuzzy_set_right` all use it.  The reduction driver keeps its
+meet over c of P(c,a) -> Q(c,b).  For min and shift it is the same
+broadcast with the meet select, the columns of P as scalars and the rows
+of Q as lines; product takes u -> v over column pairs in closed form.  As
+x <-> y = (x -> y) meet (y -> x), a meet of biresidua is the residual met
+with its transpose.  The reduction's steps, closed forms and constraints
+and `from_fuzzy_set_right` all use it, and the reduction driver keeps its
 relations as levels across a whole iteration.  `oracle.reference_compose`
 is the `Fraction` route the kernel is tested against.
 
@@ -57,7 +58,9 @@ from .errors import (
     DimensionMismatch,
     IterationLimitExceeded,
     LatticeMismatch,
+    LatticeValueError,
     NotQuasiOrder,
+    ValidationError,
 )
 from .lattice import _NUM_DEN, Codec, Lattice, ONE, ZERO
 
@@ -82,7 +85,7 @@ class FuzzyVector:
 
     @classmethod
     def from_values(cls, lattice: Lattice, values: Iterable) -> "FuzzyVector":
-        return cls(lattice, tuple(Fraction(v) for v in values))
+        return cls(lattice, tuple(_entry(lattice, v) for v in values))
 
     @classmethod
     def zeros(cls, lattice: Lattice, n: int) -> "FuzzyVector":
@@ -136,7 +139,7 @@ class FuzzyMatrix:
         for r in rows:
             if len(r) != ncols:
                 raise DimensionMismatch("ragged rows")
-        flat = tuple(Fraction(v) for r in rows for v in r)
+        flat = tuple(_entry(lattice, v) for r in rows for v in r)
         return cls(lattice, nrows, ncols, flat)
 
     @classmethod
@@ -147,6 +150,16 @@ class FuzzyMatrix:
     @classmethod
     def universal(cls, lattice: Lattice, n: int) -> "FuzzyMatrix":
         return cls(lattice, n, n, (ONE,) * (n * n))
+
+
+def _entry(lattice: Lattice, v) -> Fraction:
+    """A `Fraction`, int or str (through `Lattice.parse`) as a `Fraction`; a
+    float or a bool is refused, not converted (0.1 is not 1/10, True not 1)."""
+    if isinstance(v, str):
+        return lattice.parse(v)
+    if isinstance(v, bool) or not isinstance(v, (Fraction, int)):
+        raise LatticeValueError(f"expected Fraction, int or str, got {type(v).__name__} {v!r}")
+    return Fraction(v)
 
 
 def _check_same_lattice(a, b) -> Lattice:
@@ -215,17 +228,17 @@ def broadcast_levels(codec: Codec, op: str, scalars: Iterable, lines: list, widt
 
     For each level list s in `scalars` (of length len(lines)), one output
     line of `width` levels: for op "otimes" the entrywise join over c of
-    lines[c] * s[c], for op "residuum" or "biresiduum" the entrywise meet
-    over c of s[c] -> lines[c] or s[c] <-> lines[c].
+    lines[c] * s[c], for op "residuum" the entrywise meet over c of
+    s[c] -> lines[c].
 
     Each line is packed once into one int of B-byte lanes, B the least
     with 2 top + 1 < 2^(8B - 1): a lane holds the sum of two levels and
     still has its top bit, the guard, clear.  The family's formula (see
     `Codec`) is a few whole-int operations per scaled line, clamped into
-    [0, top]; the join or meet of two lines is a guard-bit select.  A level
-    whose scaled line is the aggregate's identity (0 for * and for ->) is
-    skipped, top passes its line through unscaled (x * 1 = x, 1 -> y =
-    1 <-> y = y), and every other scaled line is built once per (c, level)
+    [0, top]; the join or meet of two lines is a guard-bit select.  Level
+    0 is skipped, as its scaled line is the aggregate's identity (x * 0 = 0,
+    0 -> y = 1), top passes its line through unscaled (x * 1 = x,
+    1 -> y = y), and every other scaled line is built once per (c, level)
     and shared by the output lines that need it.
     """
     top = codec.top
@@ -262,18 +275,10 @@ def broadcast_levels(codec: Codec, op: str, scalars: Iterable, lines: list, widt
                 k *= ones
                 return y ^ ((y ^ k) & ge(y, k))
 
-        elif op == "residuum":
+        else:
             # top where y >= k, else y
             def scale(y: int, k: int) -> int:
                 return y ^ ((y ^ tops) & ge(y, k * ones))
-
-        else:
-            # top where y = k, else min(y, k)
-            def scale(y: int, k: int) -> int:
-                k *= ones
-                above = ge(y, k)
-                low = y ^ ((y ^ k) & above)
-                return low ^ ((low ^ tops) & above & ge(k, y))
 
     elif op == "otimes":
         # max(y - (L - k), 0): the guard keeps a lane's borrow in the lane
@@ -282,28 +287,20 @@ def broadcast_levels(codec: Codec, op: str, scalars: Iterable, lines: list, widt
             g = s & guard
             return s & (g - (g >> shift))
 
-    elif op == "residuum":
+    else:
         # min(y + L - k, L)
         def scale(y: int, k: int) -> int:
             s = y + (top - k) * ones
             return s ^ ((s ^ tops) & ge(s, tops))
 
-    else:
-        # L - |k - y| = L - max(y, k) + min(y, k)
-        def scale(y: int, k: int) -> int:
-            k *= ones
-            swap = (y ^ k) & ge(y, k)
-            return tops - (k ^ swap) + (y ^ swap)
-
     join = op == "otimes"
-    skip = codec.zero if op != "biresiduum" else None
     memo = _ScaledLines(packed, scale)
     out = []
     for s in scalars:
         scaled = iter([
             packed[c] if level == top else memo[c, level]
             for c, level in enumerate(s)
-            if level != skip
+            if level  # the zero level of min and shift is 0
         ])
         # with every level skipped, the aggregate's identity: zeros or tops
         acc = next(scaled, 0 if join else tops)
@@ -330,23 +327,18 @@ class _ScaledLines(dict):
         return z
 
 
-def residual_levels(codec: Codec, op: str, p: list, q: list, k: int, m: int, n: int) -> list:
+def residual_levels(codec: Codec, p: list, q: list, k: int, m: int, n: int) -> list:
     """The residual kernel: the m x n level matrix (a,b) -> the meet over c
-    of op(P(c,a), Q(c,b)), for a k x m P and a k x n Q (flat row-major,
-    one codec) and op "residuum" or "biresiduum".  An empty meet (k = 0)
-    is top."""
+    of P(c,a) -> Q(c,b), for a k x m P and a k x n Q (flat row-major, one
+    codec).  An empty meet (k = 0) is top.  The meet over c of
+    P(c,a) <-> Q(c,b) is this met with the transpose of the residual of
+    Q by P, as x <-> y = (x -> y) meet (y -> x)."""
     if codec.family == "product":
         # over two columns u, v: u -> v is 1 where u <= v, else v / u
-        top = codec.top
-        if op == "residuum":
-            implies = lambda u, v: min([y / x for x, y in zip(u, v) if x > y], default=top)
-        else:
-            implies = lambda u, v: min(
-                [x / y if x < y else y / x for x, y in zip(u, v) if x != y], default=top
-            )
+        implies = lambda u, v: min([y / x for x, y in zip(u, v) if x > y], default=codec.top)
         pcols, qcols = [p[a::m] for a in range(m)], [q[b::n] for b in range(n)]
         return [implies(u, v) for u in pcols for v in qcols]
-    # row a of the result: the meet over c of P(c,a) op (row c of Q), over
+    # row a of the result: the meet over c of P(c,a) -> (row c of Q), over
     # blocks of c, so that the scaled lines of a block (at most m per c) are
     # dropped before the next block: a state family can have thousands of c
     out, block = None, 1 + 4096 // max(m, 1)
@@ -354,7 +346,7 @@ def residual_levels(codec: Codec, op: str, p: list, q: list, k: int, m: int, n: 
         hi = min(k, lo + block)
         pcols = (p[lo * m + a : hi * m : m] for a in range(m))
         qrows = [q[c * n : (c + 1) * n] for c in range(lo, hi)]
-        rows = chain.from_iterable(broadcast_levels(codec, op, pcols, qrows, n))
+        rows = chain.from_iterable(broadcast_levels(codec, "residuum", pcols, qrows, n))
         out = list(rows) if out is None else list(map(min, out, rows))
     return out
 
@@ -432,6 +424,8 @@ def transitive_closure(r: FuzzyMatrix, max_iter: int | None = None) -> FuzzyMatr
     """
     if not r.is_square:
         raise DimensionMismatch("transitive closure needs a square matrix")
+    if max_iter is not None and max_iter < 1:
+        raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
     cap = max_iter if max_iter is not None else max(10 * r.rows, 10)
     current = r
     for _ in range(cap):
@@ -524,7 +518,7 @@ def from_fuzzy_set_right(f: FuzzyVector) -> FuzzyMatrix:
     """R_f(a,b) = f(a) -> f(b); always a quasi-order."""
     codec, (v,) = f.lattice.encode(f.entries)
     n = len(v)
-    levels = residual_levels(codec, "residuum", v, v, 1, n, n)
+    levels = residual_levels(codec, v, v, 1, n, n)
     return FuzzyMatrix(f.lattice, n, n, codec.decode(levels))
 
 

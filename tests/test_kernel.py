@@ -14,7 +14,7 @@ import tracemalloc
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fuzzaut import (
@@ -41,10 +41,11 @@ from fuzzaut import (
     transpose,
     underlying,
 )
+from fuzzaut import reduction
 from fuzzaut.lattice import ONE, ZERO, Lattice
 from fuzzaut.oracle import reference_compose
 from fuzzaut.reduction import METHODS, l_step, leq_step, r_step, req_step
-from fuzzaut.relation import residual_levels
+from fuzzaut.relation import residual_levels, transpose_levels
 
 from conftest import LATTICES, mat, matrices, recognizers, values_of, vectors
 
@@ -116,14 +117,20 @@ def test_residual_matches_reference(name, data):
     p = data.draw(st.lists(values_of(lat), min_size=k * m, max_size=k * m))
     q = data.draw(st.lists(values_of(lat), min_size=k * n, max_size=k * n))
     codec, (pl, ql) = lat.encode(p, q)
+    residuals = {}
     for op in ("residuum", "biresiduum"):
         scalar = getattr(lat, op)
-        expected = tuple(
+        residuals[op] = tuple(
             min([scalar(p[c * m + a], q[c * n + b]) for c in range(k)], default=ONE)
             for a in range(m)
             for b in range(n)
         )
-        assert codec.decode(residual_levels(codec, op, pl, ql, k, m, n)) == expected
+    residual = residual_levels(codec, pl, ql, k, m, n)
+    assert codec.decode(residual) == residuals["residuum"]
+    # x <-> y = (x -> y) meet (y -> x): the meet of biresidua is the residual
+    # of P by Q met with the transpose of the residual of Q by P
+    swapped = transpose_levels(residual_levels(codec, ql, pl, k, n, m), m)
+    assert codec.decode(list(map(min, residual, swapped))) == residuals["biresiduum"]
 
 
 @pytest.mark.parametrize("name", ["godel", "chain4"])
@@ -146,7 +153,7 @@ def test_residual_over_thousands_of_rows(name):
         for b in range(n)
     )
     assert expected != (ONE,) * (m * n)
-    assert codec.decode(residual_levels(codec, "residuum", pl, ql, k, m, n)) == expected
+    assert codec.decode(residual_levels(codec, pl, ql, k, m, n)) == expected
 
 
 @pytest.mark.parametrize("name", ["godel", "chain4"])
@@ -159,14 +166,13 @@ def test_residual_memory_stays_within_a_block(name):
     k, m, n = 4000, 12, 12
     p, q = ([rng.choice(pool) for _ in range(k * w)] for w in (m, n))
     codec, (pl, ql) = lat.encode(p, q)
-    for op in ("residuum", "biresiduum"):
-        tracemalloc.start()
-        try:
-            residual_levels(codec, op, pl, ql, k, m, n)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2_000_000
+    tracemalloc.start()
+    try:
+        residual_levels(codec, pl, ql, k, m, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def reference_step(machine, r, side, op):
@@ -296,6 +302,32 @@ def test_driver_matches_plain_iteration(name, data):
     assert (report.quasi_order, report.iterates, report.converged) == expected
 
 
+@pytest.mark.parametrize("method", ["sri", "wri"])
+@pytest.mark.parametrize("name", sorted(LATTICES))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_constraint_residual_runs_on_distinct_states(method, name, data):
+    # a copy repeats its original's row in every letter and its entry of
+    # tau, so every constraint term, a column of tau or of a letter or a
+    # member of the state family, has equal entries at the two: the
+    # constraint's residual runs on one state of each class of such states
+    lat = LATTICES[name]
+    machine = data.draw(machines_with_copies(lat))
+    recognizer = isinstance(machine, FuzzyRecognizer)
+    assume(method == "sri" or recognizer)
+    aut = underlying(machine)
+    tau = machine.tau.entries if recognizer else (None,) * aut.n
+    classes = {(tau[a], *(d.row(a) for d in aut.delta.values())) for a in range(aut.n)}
+    assume(len(classes) < aut.n)
+    sizes = []
+    original = reduction.residual_levels
+    counted = lambda *args: sizes.append(args[-2]) or original(*args)  # noqa: E731
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reduction, "residual_levels", counted)
+        greatest_invariant(machine, method, max_states=8 if lat.kind == "product" else 512)
+    assert sizes and max(sizes) <= len(classes)
+
+
 def test_lukasiewicz_large_common_denominator():
     # L = 997 * 991 = 988027 levels: lines are scaled by formula, and no
     # level-by-level table is ever built
@@ -376,14 +408,12 @@ def test_kernel_at_lane_width_boundaries(case):
     p, q = covering(k, m), covering(k, n)
     codec, (pl, ql) = lat.encode(p.entries, q.entries)
     assert codec.top == top
-    for op in ("residuum", "biresiduum"):
-        scalar = getattr(lat, op)
-        expected = tuple(
-            min(scalar(p.entries[c * m + a], q.entries[c * n + b]) for c in range(k))
-            for a in range(m)
-            for b in range(n)
-        )
-        assert codec.decode(residual_levels(codec, op, pl, ql, k, m, n)) == expected
+    expected = tuple(
+        min(lat.residuum(p.entries[c * m + a], q.entries[c * n + b]) for c in range(k))
+        for a in range(m)
+        for b in range(n)
+    )
+    assert codec.decode(residual_levels(codec, pl, ql, k, m, n)) == expected
     n = 9
     delta = {x: covering(n, n) for x in ("x", "y")}
     machine = FuzzyAutomaton(lat, tuple(str(i) for i in range(n)), ("x", "y"), delta)

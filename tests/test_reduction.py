@@ -159,8 +159,8 @@ class TestRStep:
         calls = []
         original = reduction.residual_levels
 
-        def faulty(codec, op, p, q, k, m, n):
-            out = original(codec, op, p, q, k, m, n)
+        def faulty(codec, p, q, k, m, n):
+            out = original(codec, p, q, k, m, n)
             calls.append(m)
             if len(calls) == 1:
                 i = next(i for i, x in enumerate(out) if x == codec.top and i // n != i % n)

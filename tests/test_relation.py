@@ -10,6 +10,7 @@ from fuzzaut import (
     LatticeMismatch,
     LatticeValueError,
     NotQuasiOrder,
+    ValidationError,
     aftersets,
     compose,
     compose_mv,
@@ -64,6 +65,28 @@ class TestEntryValidation:
             FuzzyMatrix(BOOL, 1, 2, (F(0), 1))
         with pytest.raises(LatticeValueError, match="expected Fraction"):
             FuzzyVector(GODEL, (F(1), 0))
+
+    @pytest.mark.parametrize("value", [0.1, 0.5, 1.0, True, False])
+    def test_float_and_bool_values_rejected(self, value):
+        # a float or a bool would be converted silently: 0.1 to
+        # 3602879701896397/36028797018963968, True to 1
+        with pytest.raises(LatticeValueError, match="expected Fraction, int or str"):
+            FuzzyVector.from_values(GODEL, [value])
+        with pytest.raises(LatticeValueError, match="expected Fraction, int or str"):
+            FuzzyMatrix.from_rows(BOOL, [[F(0), value]])
+
+    @pytest.mark.parametrize("text", ["abc", "1e-5000"])
+    def test_str_values_parsed_by_the_lattice(self, text):
+        # as in a document: no bare ValueError, no 16,610-bit denominator
+        with pytest.raises(LatticeValueError, match="^cannot parse value"):
+            FuzzyVector.from_values(GODEL, [text])
+        with pytest.raises(LatticeValueError, match="^cannot parse value"):
+            FuzzyMatrix.from_rows(GODEL, [[text]])
+
+    def test_fraction_int_and_str_values_accepted(self):
+        expected = FuzzyVector(GODEL, (F(1, 2), F(0), F(1), F(3, 10)))
+        assert FuzzyVector.from_values(GODEL, [F(1, 2), 0, 1, "3/10"]) == expected
+        assert FuzzyMatrix.from_rows(GODEL, [[F(1, 2), 0], [1, "3/10"]]).entries == expected.entries
 
 
 class TestCompose:
@@ -135,6 +158,13 @@ class TestTransitiveClosure:
         with pytest.raises(IterationLimitExceeded):
             transitive_closure(chain_rel, max_iter=1)
         assert transitive_closure(chain_rel, max_iter=3)[0, 3] == 1
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_cap_below_one_rejected(self, max_iter):
+        # even a relation that is already transitive: a cap of no steps is
+        # a bad argument, not a failure to stabilize
+        with pytest.raises(ValidationError, match="^max_iter must be at least 1"):
+            transitive_closure(worked_quasi_order(), max_iter=max_iter)
 
 
 class TestPredicates:
