@@ -15,10 +15,10 @@ reductions and the blocking check use its members as they are, and
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from copy import copy
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from types import MappingProxyType
 
 from .errors import (
     AlphabetMismatch,
@@ -29,6 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .lattice import Lattice
+from .record import record
 from .relation import (
     FuzzyMatrix,
     FuzzyVector,
@@ -42,14 +43,18 @@ Word = tuple[int, ...]
 EMPTY_WORD: Word = ()
 
 
-@dataclass(frozen=True)
+@record
 class FuzzyAutomaton:
     lattice: Lattice
     states: tuple[str, ...]
     alphabet: tuple[str, ...]
-    delta: dict[str, FuzzyMatrix]
+    delta: Mapping[str, FuzzyMatrix]
 
     def __post_init__(self):
+        if not isinstance(self.delta, Mapping):
+            raise ValidationError(f"delta must be a mapping, got {type(self.delta).__name__}")
+        # a read-only copy: the caller's dict may change after validation
+        object.__setattr__(self, "delta", MappingProxyType(dict(self.delta)))
         n = len(self.states)
         if n == 0:
             raise ValidationError("automaton needs at least one state")
@@ -68,6 +73,11 @@ class FuzzyAutomaton:
             if (m.rows, m.cols) != (n, n):
                 raise DimensionMismatch(f"transition matrix for {x!r} must be {n}x{n}")
 
+    def __reduce__(self):
+        # pickle and deepcopy rebuild the automaton from a plain dict: a
+        # mappingproxy cannot be pickled
+        return type(self), (self.lattice, self.states, self.alphabet, dict(self.delta))
+
     @property
     def n(self) -> int:
         return len(self.states)
@@ -79,7 +89,7 @@ class FuzzyAutomaton:
             raise UnknownLetter(f"letter index {letter_index} out of range") from None
 
 
-@dataclass(frozen=True)
+@record
 class FuzzyRecognizer:
     automaton: FuzzyAutomaton
     sigma: FuzzyVector
@@ -106,7 +116,7 @@ class FuzzyRecognizer:
         return self.automaton.alphabet
 
     @property
-    def delta(self) -> dict[str, FuzzyMatrix]:
+    def delta(self) -> Mapping[str, FuzzyMatrix]:
         return self.automaton.delta
 
     @property
@@ -117,7 +127,7 @@ class FuzzyRecognizer:
         return self.automaton.matrix(letter_index)
 
 
-Machine = Union[FuzzyAutomaton, FuzzyRecognizer]
+Machine = FuzzyAutomaton | FuzzyRecognizer
 
 
 def underlying(machine: Machine) -> FuzzyAutomaton:
@@ -354,7 +364,7 @@ class Levels:
         return seen, True
 
 
-@dataclass(frozen=True)
+@record
 class FuzzyStateFamily:
     """All distinct fuzzy state sets reachable from sigma (forward) or tau (reverse).
 

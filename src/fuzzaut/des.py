@@ -18,7 +18,6 @@ on one codec too, and decodes one value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .automaton import (
@@ -36,10 +35,11 @@ from .errors import (
     ValidationError,
 )
 from .lattice import Codec
+from .record import record
 from .relation import FuzzyMatrix, FuzzyVector, compose_levels
 
 
-@dataclass(frozen=True)
+@record
 class ComposedRecognizer:
     """A product-space recognizer plus the bookkeeping of where it came from."""
 
@@ -197,7 +197,7 @@ def prefix_closure_at(rec: FuzzyRecognizer, word: Word, horizon: int) -> Fractio
     return codec.decode(compose_levels(codec, f, lv.tau, 1, n, 1))[0]
 
 
-@dataclass(frozen=True)
+@record
 class BlockingVerdict:
     verdict: str  # 'nonblocking' | 'blocking' | 'undetermined'
     witness: Word | None

@@ -36,12 +36,12 @@ on levels only.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import attrgetter
 
 from .errors import LatticeValueError
+from .record import record
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -55,7 +55,7 @@ MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)")
 
 
-@dataclass(frozen=True)
+@record
 class Lattice:
     """Descriptor selecting the residuated-lattice semantics of all values."""
 

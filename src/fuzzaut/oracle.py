@@ -7,7 +7,6 @@ of a dual check against the main algorithms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -21,6 +20,7 @@ from .errors import (
     ValidationError,
 )
 from .lattice import ONE, ZERO
+from .record import record
 from .relation import FuzzyMatrix, compose, compose_levels, compose_vm, overlap, require_quasi_order
 
 
@@ -47,7 +47,7 @@ def reference_compose(p: FuzzyMatrix, q: FuzzyMatrix) -> FuzzyMatrix:
     return FuzzyMatrix(lat, p.rows, q.cols, tuple(out))
 
 
-@dataclass(frozen=True)
+@record
 class EquivalenceVerdict:
     equal_up_to: int
     first_divergence: tuple[Word, Fraction, Fraction] | None

@@ -89,7 +89,6 @@ also the infimum of all of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from operator import is_not, itemgetter
 
@@ -111,6 +110,7 @@ from .errors import (
     ValidationError,
 )
 from .lattice import Codec
+from .record import record
 from .relation import (
     FuzzyMatrix,
     FuzzyVector,
@@ -130,7 +130,7 @@ from .relation import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class Method:
     """One row of the method table (see the module docstring)."""
 
@@ -162,7 +162,7 @@ def _method_name(side: str, kernel: str, source: str) -> str:
     return next(name for name, m in METHODS.items() if m == Method(side, kernel, source))
 
 
-@dataclass(frozen=True)
+@record
 class ReductionReport:
     method: str
     iterates: int
@@ -501,7 +501,7 @@ def quotient_quasi_order(r: FuzzyMatrix, s: FuzzyMatrix) -> FuzzyMatrix:
 # alternate reductions
 
 
-@dataclass(frozen=True)
+@record
 class AlternateReduction:
     """Outcome of an alternating reduction schedule.
 

@@ -48,11 +48,10 @@ refinement step), calls directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import chain
 from operator import add, le
-from typing import Iterable, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -63,9 +62,17 @@ from .errors import (
     ValidationError,
 )
 from .lattice import _NUM_DEN, Codec, Lattice, ONE, ZERO
+from .record import record
 
 
-@dataclass(frozen=True)
+def _require_tuple(entries) -> None:
+    # a list would leave the record unhashable, unequal to its tuple twin
+    # and open to mutation after its entries were validated
+    if not isinstance(entries, tuple):
+        raise ValidationError(f"entries must be a tuple, got {type(entries).__name__}")
+
+
+@record
 class FuzzyVector:
     """A fuzzy subset of an n-element set."""
 
@@ -73,6 +80,7 @@ class FuzzyVector:
     entries: tuple[Fraction, ...]
 
     def __post_init__(self):
+        _require_tuple(self.entries)
         # one check per distinct entry object: parsed and decoded values repeat
         for x in {id(x): x for x in self.entries}.values():
             self.lattice.validate(x)
@@ -96,7 +104,7 @@ class FuzzyVector:
         return cls(lattice, (ONE,) * n)
 
 
-@dataclass(frozen=True)
+@record
 class FuzzyMatrix:
     """A fuzzy relation (rows x cols matrix of lattice values), row-major."""
 
@@ -106,6 +114,7 @@ class FuzzyMatrix:
     entries: tuple[Fraction, ...]
 
     def __post_init__(self):
+        _require_tuple(self.entries)
         if len(self.entries) != self.rows * self.cols:
             raise DimensionMismatch(
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries, "
@@ -436,7 +445,7 @@ def transitive_closure(r: FuzzyMatrix, max_iter: int | None = None) -> FuzzyMatr
     raise IterationLimitExceeded(f"transitive closure did not stabilize within {cap} steps")
 
 
-@dataclass(frozen=True)
+@record
 class QuasiOrderWitness:
     """Reflexivity/transitivity/symmetry facts about a square relation."""
 
