@@ -156,7 +156,7 @@ class TestRecordSemantics:
         assert copy.deepcopy(record) == record
 
     def test_match_binds_the_fields_in_order(self, cls):
-        names, args = args_of(cls)
+        _, args = args_of(cls)
         match cls(*args):
             case cls(first, second):
                 assert (first, second) == tuple(args[:2])
