@@ -6,10 +6,13 @@ Letter names only matter at the document/CLI boundary.
 `Levels` is the one place that encodes a machine: its letters, sigma, tau
 and at most one relation, with one codec.  A word's fuzzy state, its
 membership degree and its generated degree are one walk on those levels
-(`Levels.state_after`), decoded once.  `Levels.family`, the one search
-of the reachable fuzzy-state family, runs on its caller's levels: the weak
-reductions and the blocking check use its members as they are, and
-`reachable_state_family` decodes them once.
+(`Levels.state_after`), decoded once.  `Levels.walk`, the one search
+of the reachable fuzzy-state family, runs on its caller's levels and yields
+each member as it is found: the bounded language comparison stops at the
+first member of a direct sum whose halves disagree.  `Levels.family`
+collects the walk under a state cap: the weak reductions and the blocking
+check use its members as they are, and `reachable_state_family` decodes
+them once.
 """
 
 from __future__ import annotations
@@ -326,19 +329,20 @@ class Levels:
     def matrix(self, levels: list) -> FuzzyMatrix:
         return FuzzyMatrix(self.aut.lattice, self.n, self.n, self.codec.decode(levels))
 
-    def family(self, direction: str, max_states: int, max_depth: int) -> tuple[dict, bool]:
+    def walk(self, direction: str, max_depth: int):
         """Breadth-first closure of {sigma} under f -> f o dx (forward) or of
-        {tau} under f -> dx o f (reverse): each member, a level tuple, mapped
-        to its witness word in length-then-lex discovery order, and whether a
-        cap stopped the search.  The codec is injective and closed under join
-        and otimes, so two members are equal exactly when their values are."""
+        {tau} under f -> dx o f (reverse), over words of length <= max_depth:
+        yields each new member, a level tuple, with its witness word, in
+        length-then-lex order, and computes no member before it is asked for.
+        The codec is injective and closed under join and otimes, so two
+        members are equal exactly when their values are."""
         if direction not in ("forward", "reverse"):
             raise ValidationError(f"direction must be 'forward' or 'reverse', got {direction!r}")
-        check_caps(max_states, max_depth)
         codec, n = self.codec, self.n
         first = tuple(self.sigma if direction == "forward" else self.tau)
-        seen: dict[tuple, Word] = {first: EMPTY_WORD}
+        seen = {first}
         frontier = [(EMPTY_WORD, first)]
+        yield first, EMPTY_WORD
         for _ in range(max_depth):
             nxt: list[tuple[Word, tuple]] = []
             if direction == "forward":
@@ -351,17 +355,25 @@ class Levels:
                               for xi, m in enumerate(self.delta) for w, f in frontier)
             for word, g in expansions:
                 g = tuple(g)
-                if g in seen:
-                    continue
-                if len(seen) >= max_states:
-                    return seen, True
-                seen[g] = word
-                nxt.append((word, g))
+                if g not in seen:
+                    seen.add(g)
+                    nxt.append((word, g))
+                    yield g, word
             if not nxt:
-                return seen, False
+                return
             frontier = nxt
-        # a frontier left after max_depth levels was never expanded
-        return seen, True
+
+    def family(self, direction: str, max_states: int, max_depth: int) -> tuple[dict, bool]:
+        """`walk` collected: each member mapped to its witness word, and
+        whether a cap stopped the search."""
+        check_caps(max_states, max_depth)
+        seen: dict[tuple, Word] = {}
+        for g, word in self.walk(direction, max_depth):
+            if len(seen) >= max_states:
+                return seen, True
+            seen[g] = word
+        # members at depth max_depth form a frontier that was never expanded
+        return seen, len(word) == max_depth
 
 
 @record

@@ -12,8 +12,9 @@ Automata travel as JSON:
 sigma and tau are present together (recognizer) or both null (automaton).
 Values are the lattice text syntax: reduced "p/q", decimals, "0", "1".
 
-Exit codes: 0 success, 1 usage error, 2 validation error, 3 analysis
-undetermined (non-convergence, truncation, undetermined blocking).
+Exit codes: 0 success, 1 usage error, 2 validation error (an unreadable
+input or an unwritable output included), 3 analysis undetermined
+(non-convergence, truncation, undetermined blocking).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .automaton import (
     require_recognizer,
     underlying,
 )
-from .des import check_blocking, conflict_check, parallel_compose, product_compose
+from .des import check_blocking, parallel_compose, product_compose
 from .errors import (
     FuzzautError,
     LatticeValueError,
@@ -199,9 +200,16 @@ def dumps(doc) -> str:
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
+def _write(doc, path: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(dumps(doc))
+    except OSError as exc:
+        raise FuzzautError(f"cannot write {path}: {exc}") from None
+
+
 def save(machine: Machine, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(machine_to_document(machine)))
+    _write(machine_to_document(machine), path)
 
 
 def report_to_document(report: ReductionReport) -> dict:
@@ -337,8 +345,7 @@ def _cmd_determinize(args) -> int:
                 for word, vec in family.members
             ],
         }
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(dumps(doc))
+        _write(doc, args.output)
         print(f"family written to {args.output}")
     return 0 if family.complete else 3
 
@@ -368,11 +375,11 @@ def _cmd_des(args) -> int:
     # conflict
     a = _load_recognizer(args.left)
     b = _load_recognizer(args.right)
-    verdict = conflict_check(a, b, args.horizon)
+    rec = parallel_compose(a, b).recognizer
+    verdict = check_blocking(rec, args.horizon)
     print(f"verdict: {verdict.verdict}")
     if verdict.witness is not None:
-        alphabet = parallel_compose(a, b).recognizer.alphabet
-        print(f"witness: '{format_word(verdict.witness, alphabet)}'")
+        print(f"witness: '{format_word(verdict.witness, rec.alphabet)}'")
     return 0 if verdict.decided else 3
 
 

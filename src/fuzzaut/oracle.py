@@ -1,16 +1,32 @@
-"""Independent brute-force verifiers.
+"""Verifiers: the second route of a dual check against the main algorithms.
 
-Everything in here recomputes its answers from first principles (word
-enumeration, bitmask relation algebra) so it can serve as the second route
-of a dual check against the main algorithms.
+Two routes here share no code with the level kernel: the bitmask brute
+force over crisp quasi-orders (`brute_force_greatest_invariant`) and the
+scalar `Fraction` composition `reference_compose`.  The bounded language
+comparison and `check_general_system` run on the library's own search and
+kernel: the comparison walks the state family of the direct sum with
+`Levels.walk` on `compose_levels`, and the general system builds its
+dressed recognizer with `relation.compose`.  A kernel-free walk is still
+to come; until then the tests check both against word-by-word
+`reference_compose`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
-from .automaton import FuzzyAutomaton, FuzzyRecognizer, FuzzyStateFamily, Machine, Word, underlying
+from .automaton import (
+    FuzzyAutomaton,
+    FuzzyRecognizer,
+    FuzzyStateFamily,
+    Levels,
+    Machine,
+    Word,
+    require_recognizer,
+    underlying,
+)
 from .errors import (
     AlphabetMismatch,
     DimensionMismatch,
@@ -21,7 +37,15 @@ from .errors import (
 )
 from .lattice import ONE, ZERO
 from .record import record
-from .relation import FuzzyMatrix, compose, compose_levels, compose_vm, overlap, require_quasi_order
+from .relation import (
+    FuzzyMatrix,
+    FuzzyVector,
+    compose,
+    compose_levels,
+    compose_vm,
+    overlap,
+    require_quasi_order,
+)
 
 
 def reference_compose(p: FuzzyMatrix, q: FuzzyMatrix) -> FuzzyMatrix:
@@ -57,39 +81,51 @@ class EquivalenceVerdict:
         return self.first_divergence is None
 
 
+def _direct_sum(a: FuzzyRecognizer, b: FuzzyRecognizer) -> FuzzyRecognizer:
+    """A (+) B: block-diagonal letters, sigma and tau concatenated.  Its
+    fuzzy state after a word u is (sigma_A o delta_u, sigma_B o delta_u)."""
+    for machine in (a, b):
+        require_recognizer(machine, "a language comparison")
+    if a.alphabet != b.alphabet:
+        raise AlphabetMismatch(f"{a.alphabet} vs {b.alphabet}")
+    lat = a.lattice
+    if lat != b.lattice:
+        raise LatticeMismatch(f"{lat.describe()} vs {b.lattice.describe()}")
+    na, nb = a.n, b.n
+    n = na + nb
+
+    def block(x: str) -> FuzzyMatrix:
+        ma, mb = a.delta[x], b.delta[x]
+        rows = [ma.row(i) + (ZERO,) * nb for i in range(na)]
+        rows += [(ZERO,) * na + mb.row(i) for i in range(nb)]
+        return FuzzyMatrix(lat, n, n, tuple(chain.from_iterable(rows)))
+
+    aut = FuzzyAutomaton(lat, tuple(map(str, range(n))), a.alphabet, {x: block(x) for x in a.alphabet})
+    return FuzzyRecognizer(aut, FuzzyVector(lat, a.sigma.entries + b.sigma.entries),
+                           FuzzyVector(lat, a.tau.entries + b.tau.entries))
+
+
 def languages_equal_up_to(a: FuzzyRecognizer, b: FuzzyRecognizer, k: int) -> EquivalenceVerdict:
     """Compare recognized languages on every word of length <= k, in
     length-then-lexicographic order, with exact value equality.
 
-    Walks the word tree breadth-first, extending the state vectors of both
-    recognizers one letter at a time, so each word costs one step, on the
-    levels of one (injective) codec; only a divergence is decoded."""
-    if a.alphabet != b.alphabet:
-        raise AlphabetMismatch(f"{a.alphabet} vs {b.alphabet}")
-    if a.lattice != b.lattice:
-        raise LatticeMismatch(f"{a.lattice.describe()} vs {b.lattice.describe()}")
+    Walks the forward state family of the direct sum A (+) B to depth k
+    and stops at the first member whose two halves give different degrees.
+    A word whose pair of fuzzy states was already reached has an earlier
+    witness with the same degrees, and so have its extensions, so that
+    member's witness is the first diverging word.  The work is bounded by
+    the number of distinct pairs, and by k where they are infinitely many;
+    only a divergence is decoded."""
     if k < 0:
         raise ValidationError(f"word length bound must be nonnegative, got {k}")
-    na, nb = a.n, b.n
-    codec, (sigma_a, tau_a, sigma_b, tau_b, *mats) = a.lattice.encode(
-        a.sigma.entries, a.tau.entries, b.sigma.entries, b.tau.entries,
-        *(a.delta[x].entries for x in a.alphabet),
-        *(b.delta[x].entries for x in b.alphabet),
-    )
-    letters = list(zip(mats, mats[len(a.alphabet) :]))
-    frontier = [((), sigma_a, sigma_b)]
-    for _ in range(k + 1):
-        nxt = []
-        for word, va, vb in frontier:
-            xa = compose_levels(codec, va, tau_a, 1, na, 1)
-            xb = compose_levels(codec, vb, tau_b, 1, nb, 1)
-            if xa != xb:
-                return EquivalenceVerdict(k, (word, *codec.decode(xa + xb)))
-            if len(word) < k:
-                for i, (ma, mb) in enumerate(letters):
-                    nxt.append((word + (i,), compose_levels(codec, va, ma, 1, na, na),
-                                compose_levels(codec, vb, mb, 1, nb, nb)))
-        frontier = nxt
+    lv = Levels(_direct_sum(a, b))
+    codec, na, nb = lv.codec, a.n, b.n
+    tau_a, tau_b = lv.tau[:na], lv.tau[na:]
+    for g, word in lv.walk("forward", k):
+        xa = compose_levels(codec, g[:na], tau_a, 1, na, 1)
+        xb = compose_levels(codec, g[na:], tau_b, 1, nb, 1)
+        if xa != xb:
+            return EquivalenceVerdict(k, (word, *codec.decode(xa + xb)))
     return EquivalenceVerdict(k, None)
 
 
@@ -245,6 +281,7 @@ def check_general_system(
 
     The left-hand side is the language of the R-dressed recognizer
     (sigma o R, dx o R, tau), so this is a bounded language comparison."""
+    require_recognizer(rec, "the general system")
     require_quasi_order(r)
     delta = {x: compose(m, r) for x, m in rec.delta.items()}
     aut = FuzzyAutomaton(rec.lattice, rec.states, rec.alphabet, delta)

@@ -21,7 +21,7 @@ from fuzzaut import (
     transition_of_word,
     words_up_to,
 )
-from fuzzaut.automaton import FuzzyAutomaton, FuzzyRecognizer
+from fuzzaut.automaton import FuzzyAutomaton, FuzzyRecognizer, Levels
 from fuzzaut.oracle import recognize_via_family
 
 from conftest import (
@@ -253,6 +253,19 @@ class TestStateFamily:
             fam = reachable_state_family(rec, direction)
             words = [w for w, _ in fam.members]
             assert words == sorted(words, key=lambda w: (len(w), w))
+
+    @pytest.mark.parametrize("direction", ["forward", "reverse"])
+    def test_walk_yields_the_family_in_order(self, rng, direction):
+        nonterminating = FuzzyRecognizer(product_nonterminating(), vec(PROD, [1, 1]), vec(PROD, [1, 1]))
+        for rec in (rand_recognizer(rng, BOOL, 4), rand_recognizer(rng, GODEL, 5), nonterminating):
+            lv = Levels(rec)
+            for depth in (0, 2, 6):
+                walked = list(lv.walk(direction, depth))
+                family, _ = lv.family(direction, 4096, depth)
+                assert walked == list(family.items())
+                capped, truncated = lv.family(direction, 3, depth)
+                assert list(capped.items()) == walked[:3]
+                assert truncated == (len(walked) > 3 or len(walked[-1][1]) == depth)
 
 
 @settings(max_examples=25)

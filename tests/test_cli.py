@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fuzzaut import FuzzyRecognizer, Lattice, ParseError, ValidationError, greatest_invariant
+from fuzzaut import FuzzyRecognizer, Lattice, ParseError, ValidationError, des, greatest_invariant
 from fuzzaut.cli import (
     dumps,
     load,
@@ -235,6 +235,16 @@ class TestCommands:
         assert code == 0
         assert "equal up to 6" in capsys.readouterr().out
 
+    def test_equiv_long_bound(self, tmp_path, capsys):
+        rec = funnel_recognizer()
+        save(rec, str(tmp_path / "a.json"))
+        save(greatest_invariant(rec, "ri").quotient, str(tmp_path / "b.json"))
+        code = main(
+            ["equiv", str(tmp_path / "a.json"), str(tmp_path / "b.json"), "--max-len", "64"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == "equal up to 64\n"
+
     def test_equiv_reports_divergence(self, tmp_path, capsys):
         a = blocking_showcase_recognizer()
         b = FuzzyRecognizer(a.automaton, a.sigma, a.sigma)
@@ -378,6 +388,40 @@ class TestCommands:
         composed = load(out_path)
         assert composed.n == 4
         assert composed.states[0] == "(1,b)"
+
+    def test_des_conflict_composes_once(self, tmp_path, capsys, monkeypatch):
+        from fuzzaut import greatest_weakly_invariant
+
+        # a blocking pair: the witness is named with the composition's letters
+        quotient = greatest_weakly_invariant(blocking_showcase_recognizer(), "right").quotient
+        save(quotient, str(tmp_path / "a.json"))
+        save(one_state_sink(BOOL), str(tmp_path / "b.json"))
+        calls = []
+        compose = des._compose
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return compose(*args, **kwargs)
+
+        monkeypatch.setattr(des, "_compose", counting)
+        assert main(["des", "conflict", str(tmp_path / "a.json"), str(tmp_path / "b.json")]) == 0
+        assert capsys.readouterr().out == "verdict: blocking\nwitness: 'x.x'\n"
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("command", ["reduce", "alternate", "determinize", "des parallel"])
+    @pytest.mark.parametrize("target", ["nodir/out.json", "."])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, command, target):
+        save(tau_chain_recognizer(), str(tmp_path / "a.json"))
+        save(one_state_sink(BOOL), str(tmp_path / "b.json"))
+        inputs = {
+            "reduce": ["reduce", "--method", "ri", "--input", str(tmp_path / "a.json")],
+            "alternate": ["alternate", "--schedule", "rl", "--input", str(tmp_path / "a.json")],
+            "determinize": ["determinize", "--input", str(tmp_path / "a.json"), "--direction", "fwd"],
+            "des parallel": ["des", "parallel", str(tmp_path / "a.json"), str(tmp_path / "b.json")],
+        }
+        path = str(tmp_path / target)
+        assert main(inputs[command] + ["--output", path]) == 2
+        assert f"error: cannot write {path}: " in capsys.readouterr().err
 
     def test_usage_errors_exit_1(self):
         assert main(["reduce", "--method", "nope", "--input", "a.json"]) == 1

@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 from fuzzaut import (
     AlphabetMismatch,
+    FuzzyAutomaton,
     FuzzyMatrix,
     FuzzyRecognizer,
     LatticeMismatch,
     NotBoolean,
     TooLarge,
     ValidationError,
+    afterset_quotient,
     aftersets,
     brute_force_greatest_invariant,
     check_general_system,
@@ -24,15 +26,17 @@ from fuzzaut import (
     transitive_closure,
     words_up_to,
 )
-from fuzzaut.oracle import reference_compose
+from fuzzaut.oracle import EquivalenceVerdict, reference_compose
 
 from conftest import (
     BOOL,
+    CHAIN4,
     GODEL,
     LATTICES,
     alternating_showcase_recognizer,
     automaton_ri_beats_rie,
     general_system_probe_recognizer,
+    matrices,
     mat,
     minimality_witness_recognizer,
     no_greatest_solution_recognizer,
@@ -200,3 +204,74 @@ def test_general_system_matches_word_by_word_reference(name, data):
     assert check_general_system(rec, r, k) == reference_general_system(rec, r, k)
     with pytest.raises(ValidationError):
         check_general_system(rec, r, -1)
+
+
+def test_automaton_inputs_rejected_as_such():
+    automaton = automaton_ri_beats_rie()
+    rec = one_state_sink(BOOL, automaton.alphabet)
+    with pytest.raises(ValidationError, match="needs a recognizer"):
+        languages_equal_up_to(automaton, rec, 3)
+    with pytest.raises(ValidationError, match="needs a recognizer"):
+        languages_equal_up_to(rec, automaton, 3)
+    with pytest.raises(ValidationError, match="needs a recognizer"):
+        check_general_system(automaton, FuzzyMatrix.identity(BOOL, automaton.n), 3)
+
+
+def reference_languages_equal(a, b, k):
+    """Word by word with `reference_compose`: sigma o dx1 o ... o dxn o tau
+    of both recognizers, in length-then-lex order."""
+
+    def degree(rec, word):
+        lat, n = rec.lattice, rec.n
+        v = FuzzyMatrix(lat, 1, n, rec.sigma.entries)
+        for i in word:
+            v = reference_compose(v, rec.matrix(i))
+        return reference_compose(v, FuzzyMatrix(lat, n, 1, rec.tau.entries)).entries[0]
+
+    for word in words_up_to(len(a.alphabet), k):
+        da, db = degree(a, word), degree(b, word)
+        if da != db:
+            return EquivalenceVerdict(k, (word, da, db))
+    return EquivalenceVerdict(k, None)
+
+
+@st.composite
+def language_pairs(draw, lat):
+    """A recognizer and one of: an independent recognizer, possibly of
+    another size; its ri quotient (iteration capped, as the product lattice
+    may descend forever); a recognizer with its sigma and tau and new
+    letters, which tends to diverge on longer words."""
+    a = draw(recognizers(lat))
+    kind = draw(st.sampled_from(("independent", "quotient", "letters")))
+    if kind == "independent":
+        b = draw(recognizers(lat))
+    elif kind == "quotient":
+        b = greatest_invariant(a, "ri", max_iter=8).quotient
+    else:
+        delta = {x: draw(matrices(lat, a.n, a.n)) for x in a.alphabet}
+        b = FuzzyRecognizer(FuzzyAutomaton(lat, a.states, a.alphabet, delta), a.sigma, a.tau)
+    return a, b, draw(st.integers(0, 4))
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_language_comparison_matches_word_by_word_reference(name, data):
+    a, b, k = data.draw(language_pairs(LATTICES[name]))
+    assert languages_equal_up_to(a, b, k) == reference_languages_equal(a, b, k)
+
+
+def test_long_bound_needs_only_the_pair_family():
+    """The walk stops at the pair family, so k = 1000 costs about what k = 6
+    costs and gives its verdict: 2^1001 words would never finish."""
+    pairs = []
+    for seed, lat in enumerate((BOOL, GODEL, CHAIN4)):
+        rec = rand_recognizer(random.Random(seed), lat, 10)
+        pairs.append((rec, greatest_invariant(rec, "ri").quotient))
+    probe = general_system_probe_recognizer()
+    pairs.append((probe, afterset_quotient(probe, mat(BOOL, [[1, 1, 1], [0, 1, 1], [0, 0, 1]]))))
+    for a, b in pairs:
+        verdict = languages_equal_up_to(a, b, 1000)
+        assert verdict.equal_up_to == 1000
+        assert verdict.first_divergence == languages_equal_up_to(a, b, 6).first_divergence
+    assert verdict.first_divergence[0] == (0, 1)
