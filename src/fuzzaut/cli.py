@@ -367,15 +367,8 @@ def _cmd_des(args) -> int:
         return 0
     if args.des_command == "blocking":
         rec = _load_recognizer(args.left)
-        verdict = check_blocking(rec, args.horizon)
-        print(f"verdict: {verdict.verdict}")
-        if verdict.witness is not None:
-            print(f"witness: '{format_word(verdict.witness, rec.alphabet)}'")
-        return 0 if verdict.decided else 3
-    # conflict
-    a = _load_recognizer(args.left)
-    b = _load_recognizer(args.right)
-    rec = parallel_compose(a, b).recognizer
+    else:  # conflict: blocking of the parallel composition
+        rec = parallel_compose(_load_recognizer(args.left), _load_recognizer(args.right)).recognizer
     verdict = check_blocking(rec, args.horizon)
     print(f"verdict: {verdict.verdict}")
     if verdict.witness is not None:

@@ -84,13 +84,7 @@ class EquivalenceVerdict:
 def _direct_sum(a: FuzzyRecognizer, b: FuzzyRecognizer) -> FuzzyRecognizer:
     """A (+) B: block-diagonal letters, sigma and tau concatenated.  Its
     fuzzy state after a word u is (sigma_A o delta_u, sigma_B o delta_u)."""
-    for machine in (a, b):
-        require_recognizer(machine, "a language comparison")
-    if a.alphabet != b.alphabet:
-        raise AlphabetMismatch(f"{a.alphabet} vs {b.alphabet}")
     lat = a.lattice
-    if lat != b.lattice:
-        raise LatticeMismatch(f"{lat.describe()} vs {b.lattice.describe()}")
     na, nb = a.n, b.n
     n = na + nb
 
@@ -115,9 +109,19 @@ def languages_equal_up_to(a: FuzzyRecognizer, b: FuzzyRecognizer, k: int) -> Equ
     witness with the same degrees, and so have its extensions, so that
     member's witness is the first diverging word.  The work is bounded by
     the number of distinct pairs, and by k where they are infinitely many;
-    only a divergence is decoded."""
+    only a divergence is decoded.  The empty word is compared before the
+    sum is built."""
     if k < 0:
         raise ValidationError(f"word length bound must be nonnegative, got {k}")
+    for machine in (a, b):
+        require_recognizer(machine, "a language comparison")
+    if a.alphabet != b.alphabet:
+        raise AlphabetMismatch(f"{a.alphabet} vs {b.alphabet}")
+    if a.lattice != b.lattice:
+        raise LatticeMismatch(f"{a.lattice.describe()} vs {b.lattice.describe()}")
+    xa, xb = overlap(a.sigma, a.tau), overlap(b.sigma, b.tau)
+    if xa != xb:
+        return EquivalenceVerdict(k, ((), xa, xb))
     lv = Levels(_direct_sum(a, b))
     codec, na, nb = lv.codec, a.n, b.n
     tau_a, tau_b = lv.tau[:na], lv.tau[na:]

@@ -74,12 +74,22 @@ and so does a closed-form result, since R <= the strongly invariant form
 gives R o dx <= dx.  Their quotients read every letter's transitions off one
 stacked product at the afterset representatives, and tau at the
 representatives themselves (see `_quotient_from_reps`).  Weak methods,
-unconverged reports and the public `afterset_quotient` / `foreset_quotient`
-compose R o dx o R in full, in two products for all letters.  A left report
-takes the quotient of the reversed machine by R^T and reverses it back: every
-block transposed, sigma and tau swapped.  The representatives are the same,
-since two rows of a quasi-order are equal exactly when the same two columns
-are.
+unconverged reports and the public `afterset_quotient` compose R o dx o R in
+full, in two products for all letters.  A left report takes the quotient of
+the reversed machine by R^T and reverses it back: every block transposed,
+sigma and tau swapped.  The representatives are the same, since two rows of
+a quasi-order are equal exactly when the same two columns are; for the same
+reason `foreset_quotient` is `afterset_quotient`.
+
+An alternate round stops when its quotient equals its input entry for entry,
+and that is the isomorphism decision itself.  A quotient keeps its input's
+size only when every row of R is distinct, so its representatives are the
+states in order, and R being reflexive makes every entry at least the
+input's: (R o dx o R)(a,b) >= R(a,a) * dx(a,b) * R(b,b), sigma o R >= sigma
+and R o tau >= tau (the invariant shortcut reads the same values, and a left
+report is such a quotient reversed).  An isomorphism would carry each letter,
+sigma and tau onto the other machine's, with equal sums of entries, and a
+machine above another entrywise with equal sums is equal to it.
 
 Iterations over locally finite lattices terminate; over the product lattice
 they may not, in which case the report carries the last iterate instead of
@@ -97,18 +107,12 @@ from .automaton import (
     FuzzyRecognizer,
     Levels,
     Machine,
-    are_isomorphic,
     check_caps,
     require_recognizer,
     reverse,
     underlying,
 )
-from .errors import (
-    ContainmentViolated,
-    EquivalenceRequired,
-    SizeLimitExceeded,
-    ValidationError,
-)
+from .errors import ContainmentViolated, EquivalenceRequired, ValidationError
 from .lattice import Codec
 from .record import record
 from .relation import (
@@ -477,11 +481,12 @@ def afterset_quotient(machine: Machine, r: FuzzyMatrix) -> Machine:
 
 
 def foreset_quotient(machine: Machine, r: FuzzyMatrix) -> Machine:
-    """Column-based construction; isomorphic to the afterset quotient."""
-    lv = Levels(machine, r)
-    # the columns of r are the rows of its transpose, also a quasi-order
-    reps = afterset_reps(lv.codec, transpose_levels(lv.relation, lv.n), lv.n)
-    return _quotient_from_reps(lv, lv.relation, reps)
+    """The foreset automaton/recognizer, one state per distinct column of r.
+    It is the afterset quotient itself: for a quasi-order, rows a and b are
+    equal exactly when columns a and b are (R(a,b) = R(b,a) = 1 gives
+    R(c,a) >= R(c,b) * R(b,a) = R(c,b), and back), so the least-index
+    representatives agree, and R^T is a quasi-order exactly when R is."""
+    return afterset_quotient(machine, r)
 
 
 def quotient_quasi_order(r: FuzzyMatrix, s: FuzzyMatrix) -> FuzzyMatrix:
@@ -541,11 +546,9 @@ def alternate_reduce(
     isomorphism stays in the report list; the reduct is the automaton the
     chain had reached before it.
 
-    A same-size quotient is first compared with its input entry for entry
-    (state names aside); only if they differ is `are_isomorphic` asked.
-    Above its size cap the question stays open and the chain goes on: every
-    quotient is a language-preserving reduct, and max_rounds still bounds
-    the loop.
+    A round's quotient is isomorphic to its input exactly when the two are
+    equal entry for entry, state names aside (see the module docstring), so
+    one comparison decides it at every size.
     """
     if schedule not in SCHEDULES:
         raise ValidationError(f"unknown schedule {schedule!r}; expected one of {sorted(SCHEDULES)}")
@@ -569,8 +572,7 @@ def alternate_reduce(
         )
         reports.append(report)
         quotient = report.quotient
-        same_size = underlying(quotient).n == underlying(current).n
-        if same_size and (_same_entries(quotient, current) or _isomorphic(quotient, current)):
+        if _same_entries(quotient, current):
             stop = "isomorphic"
             break
         current = quotient
@@ -589,11 +591,3 @@ def _same_entries(a: Machine, b: Machine) -> bool:
     if isinstance(a, FuzzyRecognizer):
         return a.sigma.entries == b.sigma.entries and a.tau.entries == b.tau.entries
     return True
-
-
-def _isomorphic(a: Machine, b: Machine) -> bool:
-    """are_isomorphic, with False where its size cap leaves it undecided."""
-    try:
-        return are_isomorphic(a, b) is not None
-    except SizeLimitExceeded:
-        return False

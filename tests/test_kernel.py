@@ -14,7 +14,7 @@ import tracemalloc
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzaut import (
@@ -222,12 +222,15 @@ def test_steps_match_reference(name, data):
 
 
 @st.composite
-def machines_with_copies(draw, lat):
+def machines_with_copies(draw, lat, recognizer=None, copy=False):
     """An automaton or recognizer whose states copy those of a base machine
     of at most four states: a copy repeats its original's row and column in
-    every letter and its entries of sigma and tau."""
+    every letter and its entries of sigma and tau.  `recognizer` forces the
+    kind (drawn when None), and `copy` forces at least one copied state."""
     base = draw(st.integers(1, 4))
-    of = draw(st.lists(st.integers(0, base - 1), min_size=1, max_size=6))
+    of = draw(st.lists(st.integers(0, base - 1), min_size=1, max_size=5 if copy else 6))
+    if copy:
+        of.append(draw(st.sampled_from(of)))
     n = len(of)
     letters = ("x", "y")[: draw(st.integers(1, 2))]
     delta = {}
@@ -236,7 +239,7 @@ def machines_with_copies(draw, lat):
         entries = tuple(m[of[a], of[b]] for a in range(n) for b in range(n))
         delta[x] = FuzzyMatrix(lat, n, n, entries)
     automaton = FuzzyAutomaton(lat, tuple(str(i) for i in range(n)), letters, delta)
-    if not draw(st.booleans()):
+    if not (draw(st.booleans()) if recognizer is None else recognizer):
         return automaton
     sigma, tau = (draw(vectors(lat, base)) for _ in range(2))
     return FuzzyRecognizer(
@@ -312,13 +315,10 @@ def test_constraint_residual_runs_on_distinct_states(method, name, data):
     # member of the state family, has equal entries at the two: the
     # constraint's residual runs on one state of each class of such states
     lat = LATTICES[name]
-    machine = data.draw(machines_with_copies(lat))
-    recognizer = isinstance(machine, FuzzyRecognizer)
-    assume(method == "sri" or recognizer)
+    machine = data.draw(machines_with_copies(lat, True if method == "wri" else None, copy=True))
     aut = underlying(machine)
-    tau = machine.tau.entries if recognizer else (None,) * aut.n
+    tau = machine.tau.entries if isinstance(machine, FuzzyRecognizer) else (None,) * aut.n
     classes = {(tau[a], *(d.row(a) for d in aut.delta.values())) for a in range(aut.n)}
-    assume(len(classes) < aut.n)
     sizes = []
     original = reduction.residual_levels
     counted = lambda *args: sizes.append(args[-2]) or original(*args)  # noqa: E731

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction as F
 
 import pytest
@@ -24,6 +25,8 @@ from fuzzaut import (
     greatest_strongly_invariant,
     greatest_weakly_invariant,
     is_fuzzy_order,
+    is_quasi_order,
+    join,
     l_step,
     leq,
     meet,
@@ -31,7 +34,9 @@ from fuzzaut import (
     quotient_quasi_order,
     r_step,
     reverse,
+    transitive_closure,
     transpose,
+    underlying,
 )
 from fuzzaut import reduction, relation
 from fuzzaut.reduction import leq_step, req_step
@@ -53,6 +58,7 @@ from conftest import (
     funnel_recognizer,
     godel_cycle_automaton,
     mat,
+    matrices,
     minimality_witness_recognizer,
     one_state_sink,
     product_nonterminating,
@@ -483,6 +489,58 @@ class TestForesetQuotient:
         after = afterset_quotient(rec, r)
         assert fore.n == 2
         assert are_isomorphic(fore, after) is not None
+
+
+def _entries(machine):
+    """Every letter's entries, then sigma and tau on a recognizer."""
+    aut = underlying(machine)
+    out = [x for letter in aut.alphabet for x in aut.delta[letter].entries]
+    if isinstance(machine, FuzzyRecognizer):
+        out += machine.sigma.entries + machine.tau.entries
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_same_size_quotient_is_isomorphic_only_when_equal(name, data):
+    # a quotient that keeps its input's size lies above it entrywise, so an
+    # isomorphism, which keeps the sum of the entries, leaves it equal: one
+    # comparison is alternate_reduce's whole isomorphism test
+    rec = data.draw(recognizers(LATTICES[name]))
+    caps = {"max_states": 64, "max_depth": 8}
+    for method, spec in reduction.METHODS.items():
+        machines = (rec,) if spec.source == "weak" else (rec, rec.automaton)
+        for machine, max_iter in [(m, i) for m in machines for i in (2, 256)]:
+            q = greatest_invariant(machine, method, max_iter=max_iter, **caps).quotient
+            if q.n != machine.n:
+                continue
+            mine, theirs = _entries(q), _entries(machine)
+            assert all(map(operator.ge, mine, theirs))
+            assert (are_isomorphic(q, machine) is not None) == (mine == theirs)
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_foreset_quotient_is_the_afterset_quotient(name, data):
+    # rows a and b of a quasi-order are equal exactly when columns a and b
+    # are, and R^T is a quasi-order exactly when R is
+    lat = LATTICES[name]
+    rec = data.draw(recognizers(lat))
+    r = data.draw(matrices(lat, rec.n, rec.n))
+    reflexive = join(r, FuzzyMatrix.identity(lat, rec.n))
+    q = transitive_closure(reflexive)
+    for machine in (rec, rec.automaton):
+        assert foreset_quotient(machine, q) == afterset_quotient(machine, q)
+        for s in (r, reflexive):
+            if is_quasi_order(s).is_quasi_order:
+                continue
+            with pytest.raises(NotQuasiOrder) as fore:
+                foreset_quotient(machine, s)
+            with pytest.raises(NotQuasiOrder) as after:
+                afterset_quotient(machine, s)
+            assert str(fore.value) == str(after.value)
 
 
 class TestQuotientQuasiOrder:

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzaut import (
     DimensionMismatch,
@@ -10,7 +11,6 @@ from fuzzaut import (
     LatticeMismatch,
     LatticeValueError,
     NotQuasiOrder,
-    ValidationError,
     aftersets,
     compose,
     compose_mv,
@@ -30,14 +30,17 @@ from fuzzaut import (
     transitive_closure,
     transpose,
 )
+from fuzzaut.oracle import reference_compose
 from fuzzaut.reduction import greatest_invariant
 
 from conftest import (
     BOOL,
     GODEL,
+    LATTICES,
     automaton_ri_beats_rie,
     blocking_showcase_recognizer,
     mat,
+    matrices,
     matrix_strategy,
     square_matrices_same_size,
     tau_chain_recognizer,
@@ -151,20 +154,20 @@ class TestTransitiveClosure:
         assert transitive_closure(closed) == closed
         assert leq(compose(closed, closed), closed)
 
-    def test_iteration_cap_is_defensive(self):
-        from fuzzaut import IterationLimitExceeded
-
-        chain_rel = mat(BOOL, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
-        with pytest.raises(IterationLimitExceeded):
-            transitive_closure(chain_rel, max_iter=1)
-        assert transitive_closure(chain_rel, max_iter=3)[0, 3] == 1
-
-    @pytest.mark.parametrize("max_iter", [0, -1])
-    def test_cap_below_one_rejected(self, max_iter):
-        # even a relation that is already transitive: a cap of no steps is
-        # a bad argument, not a failure to stabilize
-        with pytest.raises(ValidationError, match="^max_iter must be at least 1"):
-            transitive_closure(worked_quasi_order(), max_iter=max_iter)
+    @pytest.mark.parametrize("name", sorted(LATTICES))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_closure_is_the_join_of_the_first_n_powers(self, name, data):
+        # x * y <= x on every lattice, so no path longer than n adds a value;
+        # the powers are taken with the scalar reference, not the kernel
+        lat = LATTICES[name]
+        n = data.draw(st.integers(1, 5))
+        r = data.draw(matrices(lat, n, n))
+        power = expected = r
+        for _ in range(n - 1):
+            power = reference_compose(power, r)
+            expected = join(expected, power)
+        assert transitive_closure(r) == expected
 
 
 class TestPredicates:
