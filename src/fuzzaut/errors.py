@@ -17,10 +17,6 @@ class DimensionMismatch(FuzzautError):
     """Vector/matrix shapes do not line up."""
 
 
-class IterationLimitExceeded(FuzzautError):
-    """A fixpoint iteration hit its defensive cap."""
-
-
 class NotQuasiOrder(FuzzautError):
     """A relation required to be reflexive and transitive is not."""
 

@@ -248,10 +248,13 @@ class Codec:
     `zero` and `top` are the levels of 0 and 1.  The relation kernel
     applies each family's formulas (see the module docstring) to a whole
     line at once, one level against every entry of a line packed into one
-    int of lanes that hold 2 top + 1 (`relation.broadcast_levels`), from
-    the formula alone: a shift codec's L can be about a million, or beyond
-    2^63, so no table over the levels is ever built and the lanes widen
-    with top.
+    int (`relation.broadcast_levels`), from the formula alone.  `top`
+    picks the lanes: up to top 8 a lane is one byte holding level y in
+    unary, (1 << y) - 1, so the join of two lines is | and the meet &,
+    and each output line is one C-level fold; from top 9 on a lane is
+    binary and holds 2 top + 1, with a guard-bit select per join or meet.
+    A shift codec's L can be about a million, or beyond 2^63, so no table
+    over the levels is ever built and the binary lanes widen with top.
     `otimes` is the scalar * on levels, for the DES Kronecker product.
     """
 

@@ -13,21 +13,33 @@ shapes, through the same helper.
 For the min and shift families the kernel's inner loop is one row
 broadcast (`broadcast_levels`): row a of P o Q is the entrywise join over
 c of row c of Q scaled by the single level P(a,c).  Each row is packed
-once per call into one int of B-byte lanes, B the least with
-2 top + 1 < 2^(8B - 1), so that a lane holds the sum of two levels below
-its top bit, the guard; B has no cap, as a Lukasiewicz L can exceed 2^63.
-A scaled row is a few whole-int operations, the family's formula clamped
-into [0, top] (a lane holds no negative or over-top value): min(y, k) for
-min *, a saturating y - (L - k) for shift *, min(y + L - k, L) for shift
-->.  The join of two rows is a guard-bit select: g = ((a | H) - b) & H
-keeps the guard of each lane where a >= b, g - (g >> (8B - 1)) fills the
-bits below it, and an xor through that mask picks a or b.  A scaled row is
-built once per (c, level), level 0 is skipped (x * 0 = 0) and top passes
-the row through (x * 1 = x).  When the result has more rows than columns
-the kernel broadcasts columns of P by the levels of Q instead (*
-commutes), so a vector costs one pass.  A 1 x 1 result (`overlap`) has no
-line to broadcast: it is one pass over the pairs.  Product compositions
-multiply the nonzero pairs only.
+once per call into one int with one lane per entry, in one of two
+encodings chosen by the codec's top:
+
+- top <= 8 (Boolean, chain(n) for n <= 8, Godel over at most 9 values,
+  Lukasiewicz with L <= 8): unary byte lanes, level y as the byte
+  (1 << y) - 1.  The lane-wise max is then | and the min is &, so the
+  join or meet of all the scaled rows of an output row is one C-level
+  `functools.reduce` over `or_` or `and_`, and a scaled row is one to
+  three whole-int operations (min * keeps the k low bits of each lane,
+  shift * moves them down by L - k).
+- top >= 9: binary lanes of B bytes, B the least with
+  2 top + 1 < 2^(8B - 1), so that a lane holds the sum of two levels below
+  its top bit, the guard; B has no cap, as a Lukasiewicz L can exceed
+  2^63.  A scaled row is a few whole-int operations, the family's formula
+  clamped into [0, top] (a lane holds no negative or over-top value):
+  min(y, k) for min *, a saturating y - (L - k) for shift *,
+  min(y + L - k, L) for shift ->.  The join of two rows is a guard-bit
+  select: g = ((a | H) - b) & H keeps the guard of each lane where a >= b,
+  g - (g >> (8B - 1)) fills the bits below it, and an xor through that
+  mask picks a or b, one Python-level step per scaled row.
+
+In both, a scaled row is built once per (c, level) on first use, level 0
+is skipped (x * 0 = 0) and top passes the row through (x * 1 = x).  When
+the result has more rows than columns the kernel broadcasts columns of P
+by the levels of Q instead (* commutes), so a vector costs one pass.  A
+1 x 1 result (`overlap`) has no line to broadcast: it is one pass over the
+pairs.  Product compositions multiply the nonzero pairs only.
 
 Every meet of residua is one call of `residual_levels`, the right residual
 of relations: for a k x m P and a k x n Q, the m x n matrix (a,b) -> the
@@ -50,8 +62,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from itertools import chain
-from operator import add, le
+from functools import reduce
+from itertools import chain, compress
+from operator import add, and_, le, or_
 
 from .errors import (
     DimensionMismatch,
@@ -235,21 +248,29 @@ def broadcast_levels(codec: Codec, op: str, scalars: Iterable, lines: list, widt
     """The row-broadcast primitive of the min and shift families.
 
     For each level list s in `scalars` (of length len(lines)), one output
-    line of `width` levels: for op "otimes" the entrywise join over c of
-    lines[c] * s[c], for op "residuum" the entrywise meet over c of
-    s[c] -> lines[c].
+    line of `width` levels (a list, or `bytes` on unary lanes): for op
+    "otimes" the entrywise join over c of lines[c] * s[c], for op
+    "residuum" the entrywise meet over c of s[c] -> lines[c].
 
-    Each line is packed once into one int of B-byte lanes, B the least
-    with 2 top + 1 < 2^(8B - 1): a lane holds the sum of two levels and
-    still has its top bit, the guard, clear.  The family's formula (see
-    `Codec`) is a few whole-int operations per scaled line, clamped into
-    [0, top]; the join or meet of two lines is a guard-bit select.  Level
-    0 is skipped, as its scaled line is the aggregate's identity (x * 0 = 0,
-    0 -> y = 1), top passes its line through unscaled (x * 1 = x,
-    1 -> y = y), and every other scaled line is built once per (c, level)
-    and shared by the output lines that need it.
+    Each line is packed once into one int with a lane per entry.  A codec
+    with top <= 8 gets unary byte lanes (`_broadcast_unary`): level y is
+    the byte (1 << y) - 1, packed by `bytes.translate` and unpacked by a
+    popcount table, so the join of two lines is | and the meet &, and each
+    output line is one C-level `functools.reduce` over its scaled lines.
+    A larger top gets binary lanes of B bytes, B the least with
+    2 top + 1 < 2^(8B - 1): a lane holds the sum of two levels and still
+    has its top bit, the guard, clear, and the join or meet of two lines
+    is a Python-level guard-bit select.  Either way the family's formula
+    (see `Codec`) is a few whole-int operations per scaled line, clamped
+    into [0, top].  Level 0 is skipped, as its scaled line is the
+    aggregate's identity (x * 0 = 0, 0 -> y = 1), top passes its line
+    through unscaled (x * 1 = x, 1 -> y = y), and every other scaled line
+    is built once per (c, level), on first use, and shared by the output
+    lines that need it.
     """
     top = codec.top
+    if top <= 8:
+        return _broadcast_unary(codec, op, scalars, lines, width)
     size = (2 * top + 1).bit_length() // 8 + 1
     shift, nbytes = 8 * size - 1, width * size
     ones = int.from_bytes(b"\1".ljust(size, b"\0") * width, "little")
@@ -331,6 +352,60 @@ class _ScaledLines(dict):
 
     def __missing__(self, key: tuple) -> int:
         c, level = key
+        z = self[key] = self.scale(self.packed[c], level)
+        return z
+
+
+# level y as the unary byte (1 << y) - 1 and back, for tops up to 8
+_UNARY = bytes((1 << y) - 1 for y in range(9)).ljust(256, b"\0")
+_POPCOUNT = bytes(map(int.bit_count, range(256)))
+
+
+def _broadcast_unary(codec: Codec, op: str, scalars: Iterable, lines: list, width: int) -> list:
+    """`broadcast_levels` on unary byte lanes (top <= 8): the lane-wise max
+    is | and the min is &, so an output line is one C-level fold."""
+    top = codec.top
+    ones = int.from_bytes(b"\1" * width, "little")
+    # the identity of the join is all zeros, of the meet all tops
+    fold, identity = (or_, 0) if op == "otimes" else (and_, ones * ((1 << top) - 1))
+    if top == 1:
+        # Boolean levels 0 and 1 are their own unary bytes, and every
+        # nonzero level is top, whose scaled line is the line itself
+        packed = [int.from_bytes(bytes(line), "little") for line in lines]
+        folds = (reduce(fold, compress(packed, s), identity) for s in scalars)
+        return [z.to_bytes(width, "little") for z in folds]
+    packed = [int.from_bytes(bytes(line).translate(_UNARY), "little") for line in lines]
+    if codec.family == "min":
+        if op == "otimes":
+            # min(y, k): the k low bits of each lane
+            scale = lambda y, k: y & ones * ((1 << k) - 1)  # noqa: E731
+        else:
+            # top where y >= k (bit k - 1 set), else y
+            scale = lambda y, k: y | ((y >> (k - 1)) & ones) * ((1 << top) - 1)  # noqa: E731
+    elif op == "otimes":
+        # max(y - (L - k), 0): a lane's bits moved down; the bits that cross
+        # in from the lane above land at 8 - (L - k) >= k and are masked off
+        scale = lambda y, k: (y >> (top - k)) & ones * ((1 << k) - 1)  # noqa: E731
+    else:
+        # min(y + L - k, L): the bits that cross into the lane above land
+        # below L - k, where the low bits are set anyway, and the bits left
+        # at L and above are cleared by the meet, which starts at all tops
+        scale = lambda y, k: (y << (top - k)) | ones * ((1 << (top - k)) - 1)  # noqa: E731
+    # the scaled line of (c, level) sits at key c * (top + 1) + level; level
+    # top is the line itself, and level 0 (the identity) is dropped by compress
+    stride = top + 1
+    memo = _UnaryLines(zip(range(top, stride * len(lines), stride), packed))
+    memo.packed, memo.scale, memo.stride = packed, scale, stride
+    get, starts = memo.__getitem__, range(0, stride * len(lines), stride)
+    folds = (reduce(fold, map(get, compress(map(add, starts, s), s)), identity) for s in scalars)
+    return [z.to_bytes(width, "little").translate(_POPCOUNT) for z in folds]
+
+
+class _UnaryLines(dict):
+    """c * stride + level -> packed[c] scaled by level, built on first use."""
+
+    def __missing__(self, key: int) -> int:
+        c, level = divmod(key, self.stride)
         z = self[key] = self.scale(self.packed[c], level)
         return z
 

@@ -358,14 +358,22 @@ def test_lukasiewicz_large_common_denominator():
 
 def lane_boundaries():
     """Case -> (lattice, its values other than 0 and 1, the codec's top).
-    The kernel packs a line into lanes of B bytes, B the least with
-    2 top + 1 < 2^(8B - 1): top 63 gives B = 1, top 64 and top 100 give
-    B = 2 and a Lukasiewicz L near 2^64 gives B = 9."""
+    Up to top 8 the kernel packs a line into unary byte lanes, level y as
+    (1 << y) - 1; from top 9 on, into binary lanes of B bytes, B the least
+    with 2 top + 1 < 2^(8B - 1): tops 9 and 63 give B = 1, top 64 and top
+    100 give B = 2 and a Lukasiewicz L near 2^64 gives B = 9."""
     godel, luk = Lattice.godel(), Lattice.lukasiewicz()
     inner = [F(k, 997) for k in sorted(random.Random(16).sample(range(1, 997), 63))]
     p, q = 2**32 - 5, 2**32 - 17  # both prime
     big = p * q
     return {
+        # the last unary top and the first binary one
+        "godel-9-values": (godel, inner[:7], 8),
+        "godel-10-values": (godel, inner[:8], 9),
+        "chain8": (Lattice.chain(8), [F(k, 8) for k in range(1, 8)], 8),
+        "chain9": (Lattice.chain(9), [F(k, 9) for k in range(1, 9)], 9),
+        "lukasiewicz-8": (luk, [F(k, 8) for k in range(1, 8)], 8),
+        "lukasiewicz-9": (luk, [F(k, 9) for k in range(1, 9)], 9),
         "godel-64-values": (godel, inner[:62], 63),
         "godel-65-values": (godel, inner, 64),
         "chain63": (Lattice.chain(63), [F(k, 63) for k in range(1, 63)], 63),
