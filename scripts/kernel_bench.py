@@ -15,10 +15,14 @@ seeded level matrices, encoded by each tree's own `Lattice.encode`:
 over min codecs (Boolean top 1, Goedel tops 5, 6 and 60) and shift codecs
 (chain(n) tops 4, 5 and 60).  A case's time is the best of R repeats of
 one call, in microseconds; the two trees alternate inside every repeat.
+Each side's median over the repeats is printed and recorded beside its
+best: on a shared machine one best-of-R ratio can stray far from 1 for
+identical code, and a best far below its median says the run was noisy.
 
-Prints one line per case with both times and their ratio (change / base).
-Exits 1 if any case's output differs between the trees.  With --output,
-also writes the times and a sha256 of each side's output as JSON.
+Prints one line per case with both sides' best and median times and their
+ratios (change / base).  Exits 1 if any case's output differs between the
+trees.  With --output, also writes the times and a sha256 of each side's
+output as JSON.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import hashlib
 import json
 import platform
 import random
+import statistics
 import sys
 import timeit
 from fractions import Fraction
@@ -100,19 +105,23 @@ def main(argv=None) -> int:
                 digests[side] = hashlib.sha256(repr(calls[side]()).encode()).hexdigest()
             # one call per timing, enough calls to make a repeat last ~0.2 s
             number = max(1, timeit.Timer(calls["base"]).autorange()[0] // 2)
-            best = {side: float("inf") for side in SIDES}
+            times = {side: [] for side in SIDES}
             for r in range(args.repeat):
                 for side in SIDES if r % 2 == 0 else SIDES[::-1]:
-                    t = timeit.Timer(calls[side]).timeit(number) / number
-                    best[side] = min(best[side], t)
-            us = {side: round(best[side] * 1e6, 2) for side in SIDES}
-            ratio = best["change"] / best["base"]
+                    times[side].append(timeit.Timer(calls[side]).timeit(number) / number)
+            us = {side: round(min(times[side]) * 1e6, 2) for side in SIDES}
+            median_us = {side: round(statistics.median(times[side]) * 1e6, 2) for side in SIDES}
+            ratio = min(times["change"]) / min(times["base"])
+            median_ratio = statistics.median(times["change"]) / statistics.median(times["base"])
             same = digests["base"] == digests["change"]
             if not same:
                 differ.append(name)
-            print(f"{name:38} base {us['base']:9.2f} us  change {us['change']:9.2f} us"
-                  f"  ratio {ratio:.3f}{'' if same else '  OUTPUT DIFFERS'}")
-            cases.append({"case": name, "us": us, "ratio": round(ratio, 3), "sha256": digests})
+            print(f"{name:38} base {us['base']:9.2f} (med {median_us['base']:9.2f}) us"
+                  f"  change {us['change']:9.2f} (med {median_us['change']:9.2f}) us"
+                  f"  ratio {ratio:.3f} (med {median_ratio:.3f})"
+                  f"{'' if same else '  OUTPUT DIFFERS'}")
+            cases.append({"case": name, "us": us, "median_us": median_us, "ratio": round(ratio, 3),
+                          "median_ratio": round(median_ratio, 3), "sha256": digests})
     if args.output:
         record = {
             "python": platform.python_version(),

@@ -18,7 +18,6 @@ from fuzzaut import (
     check_blocking,
     conflict_check,
     greatest_invariant,
-    greatest_weakly_invariant,
     underlying,
 )
 
@@ -107,7 +106,7 @@ def demo_blocking():
         FuzzyVector.from_values(BOOL, [0, 1, 0, 1]),
         FuzzyVector.from_values(BOOL, [0, 1, 0, 1]),
     )
-    quotient = greatest_weakly_invariant(rec, "right").quotient
+    quotient = greatest_invariant(rec, "wri").quotient
     partner = FuzzyRecognizer(
         FuzzyAutomaton(BOOL, ("b",), ("x",), {"x": mk(BOOL, [[1]])}),
         FuzzyVector.from_values(BOOL, [1]),

@@ -14,7 +14,6 @@ from .errors import (
     NotQuasiOrder,
     ParseError,
     SizeLimitExceeded,
-    TooLarge,
     UnknownLetter,
     ValidationError,
 )
@@ -28,7 +27,6 @@ from .relation import (
     compose_mv,
     compose_vm,
     crisp_part,
-    foresets,
     from_fuzzy_set_left,
     from_fuzzy_set_right,
     is_fuzzy_equivalence,
@@ -60,10 +58,7 @@ from .reduction import (
     ReductionReport,
     afterset_quotient,
     alternate_reduce,
-    foreset_quotient,
     greatest_invariant,
-    greatest_strongly_invariant,
-    greatest_weakly_invariant,
     l_step,
     quotient_quasi_order,
     r_step,

@@ -166,6 +166,8 @@ def bounded_reach_matrix(rec: FuzzyRecognizer, horizon: int) -> FuzzyMatrix:
     Since x * y <= x, T_h is constant from h = n - 1 on and covers all of
     X*; the iteration stops at the first step that changes nothing.
     """
+    if horizon < 0:
+        raise ValidationError("horizon must be nonnegative")
     lv = Levels(rec)
     return lv.matrix(_reach_levels(lv, horizon))
 

@@ -34,11 +34,8 @@ class UnknownLetter(FuzzautError):
 
 
 class SizeLimitExceeded(FuzzautError):
-    """An exact decision procedure was asked to run beyond its size cap."""
-
-
-class TooLarge(FuzzautError):
-    """Brute-force enumeration refused: state count above the supported bound."""
+    """An exact decision or brute-force enumeration was asked to run beyond
+    its size cap."""
 
 
 class NotBoolean(FuzzautError):

@@ -20,7 +20,6 @@ from itertools import chain
 from .automaton import (
     FuzzyAutomaton,
     FuzzyRecognizer,
-    FuzzyStateFamily,
     Levels,
     Machine,
     Word,
@@ -32,7 +31,7 @@ from .errors import (
     DimensionMismatch,
     LatticeMismatch,
     NotBoolean,
-    TooLarge,
+    SizeLimitExceeded,
     ValidationError,
 )
 from .lattice import ONE, ZERO
@@ -133,19 +132,6 @@ def languages_equal_up_to(a: FuzzyRecognizer, b: FuzzyRecognizer, k: int) -> Equ
     return EquivalenceVerdict(k, None)
 
 
-def recognize_via_family(rec: FuzzyRecognizer, family: FuzzyStateFamily, word: Word) -> Fraction:
-    """Evaluate recognition through a complete forward family: every step
-    must land on a member of the family."""
-    if family.direction != "forward" or not family.complete:
-        raise ValidationError("needs a complete forward family")
-    table = {v: v for _, v in family.members}
-    mats = [rec.automaton.delta[x] for x in rec.alphabet]
-    v = rec.sigma
-    for i in word:
-        v = table[compose_vm(v, mats[i])]
-    return overlap(v, rec.tau)
-
-
 # ---------------------------------------------------------------------------
 # crisp quasi-order enumeration (bitmask rows, independent of relation.py)
 
@@ -154,7 +140,7 @@ def recognize_via_family(rec: FuzzyRecognizer, family: FuzzyStateFamily, word: W
 def _crisp_quasi_orders(n: int) -> tuple[tuple[int, ...], ...]:
     """All reflexive transitive crisp relations on n states, as row bitmasks."""
     if n > 4:
-        raise TooLarge(f"quasi-order enumeration capped at 4 states, got {n}")
+        raise SizeLimitExceeded(f"quasi-order enumeration capped at 4 states, got {n}")
     out = []
     offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
     for bits in range(1 << len(offdiag)):
@@ -220,7 +206,7 @@ def brute_force_greatest_invariant(machine: Machine, side: str) -> FuzzyMatrix:
         raise NotBoolean(f"brute force requires the Boolean lattice, got {lat.describe()}")
     n = aut.n
     if n > 4:
-        raise TooLarge(f"brute force capped at 4 states, got {n}")
+        raise SizeLimitExceeded(f"brute force capped at 4 states, got {n}")
 
     deltas = [_as_bitrows(aut.delta[x]) for x in aut.alphabet]
     if isinstance(machine, FuzzyRecognizer):

@@ -78,8 +78,8 @@ unconverged reports and the public `afterset_quotient` compose R o dx o R in
 full, in two products for all letters.  A left report takes the quotient of
 the reversed machine by R^T and reverses it back: every block transposed,
 sigma and tau swapped.  The representatives are the same, since two rows of
-a quasi-order are equal exactly when the same two columns are; for the same
-reason `foreset_quotient` is `afterset_quotient`.
+a quasi-order are equal exactly when the same two columns are; so the
+foreset quotient, one state per distinct column of R, is this quotient too.
 
 An alternate round stops when its quotient equals its input entry for entry,
 and that is the isomorphism decision itself.  A quotient keeps its input's
@@ -158,12 +158,6 @@ METHODS = {
     "wrie": Method("right", "biresiduum", "weak"),
     "wlie": Method("left", "biresiduum", "weak"),
 }
-
-
-def _method_name(side: str, kernel: str, source: str) -> str:
-    if side not in ("right", "left"):
-        raise ValidationError(f"side must be 'right' or 'left', got {side!r}")
-    return next(name for name, m in METHODS.items() if m == Method(side, kernel, source))
 
 
 @record
@@ -381,28 +375,6 @@ def greatest_invariant(
     return _report(lv, method, current, iterates, converged)
 
 
-def greatest_strongly_invariant(machine: Machine, side: str) -> FuzzyMatrix:
-    """Closed-form greatest strongly invariant quasi-order (with the recognizer
-    constraint met in when sigma/tau are present): methods sri / sli."""
-    return greatest_invariant(machine, _method_name(side, "residuum", "closed")).quasi_order
-
-
-def greatest_weakly_invariant(
-    rec: FuzzyRecognizer,
-    side: str,
-    max_states: int = 4096,
-    max_depth: int = 64,
-    equivalence: bool = False,
-    start: FuzzyMatrix | None = None,
-) -> ReductionReport:
-    """Meet of the per-word constraints tau_u(b) -> tau_u(a) (right) or
-    sigma_u(a) -> sigma_u(b) (left), over the reachable state family:
-    methods wri / wli (wrie / wlie with equivalence)."""
-    kernel = "biresiduum" if equivalence else "residuum"
-    method = _method_name(side, kernel, "weak")
-    return greatest_invariant(rec, method, start=start, max_states=max_states, max_depth=max_depth)
-
-
 def _report(lv: Levels, method, relation, iterates, converged) -> ReductionReport:
     spec = METHODS[method]
     # a converged iterate was checked by its last step; a closed form, a
@@ -478,15 +450,6 @@ def afterset_quotient(machine: Machine, r: FuzzyMatrix) -> Machine:
     transitions (R o dx o R), initial sigma o R, terminal R o tau."""
     lv = Levels(machine, r)
     return _quotient_from_reps(lv, lv.relation, afterset_reps(lv.codec, lv.relation, lv.n))
-
-
-def foreset_quotient(machine: Machine, r: FuzzyMatrix) -> Machine:
-    """The foreset automaton/recognizer, one state per distinct column of r.
-    It is the afterset quotient itself: for a quasi-order, rows a and b are
-    equal exactly when columns a and b are (R(a,b) = R(b,a) = 1 gives
-    R(c,a) >= R(c,b) * R(b,a) = R(c,b), and back), so the least-index
-    representatives agree, and R^T is a quasi-order exactly when R is."""
-    return afterset_quotient(machine, r)
 
 
 def quotient_quasi_order(r: FuzzyMatrix, s: FuzzyMatrix) -> FuzzyMatrix:

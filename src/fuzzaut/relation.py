@@ -641,9 +641,3 @@ def distinct_rows(codec: Codec, rows: Sequence) -> tuple[list[int], list[int]]:
     index: dict[tuple, tuple[int, int]] = {}
     classes = [index.setdefault(key(row), (len(index), i))[0] for i, row in enumerate(rows)]
     return classes, [i for _, i in index.values()]
-
-
-def foresets(r: FuzzyMatrix) -> list[tuple[int, FuzzyVector]]:
-    """Distinct columns of a quasi-order, keyed by least realizing state index:
-    the aftersets of its transpose."""
-    return aftersets(transpose(r))

@@ -352,9 +352,7 @@ class TestCommands:
     def test_des_blocking_and_conflict(self, tmp_path, capsys):
         rec = blocking_showcase_recognizer()
         save(rec, str(tmp_path / "a.json"))
-        from fuzzaut import greatest_weakly_invariant
-
-        save(greatest_weakly_invariant(rec, "right").quotient, str(tmp_path / "q.json"))
+        save(greatest_invariant(rec, "wri").quotient, str(tmp_path / "q.json"))
         save(one_state_sink(__import__("conftest").BOOL), str(tmp_path / "b.json"))
 
         assert main(["des", "blocking", str(tmp_path / "a.json"), "--horizon", "4"]) == 0
@@ -390,10 +388,8 @@ class TestCommands:
         assert composed.states[0] == "(1,b)"
 
     def test_des_conflict_composes_once(self, tmp_path, capsys, monkeypatch):
-        from fuzzaut import greatest_weakly_invariant
-
         # a blocking pair: the witness is named with the composition's letters
-        quotient = greatest_weakly_invariant(blocking_showcase_recognizer(), "right").quotient
+        quotient = greatest_invariant(blocking_showcase_recognizer(), "wri").quotient
         save(quotient, str(tmp_path / "a.json"))
         save(one_state_sink(BOOL), str(tmp_path / "b.json"))
         calls = []

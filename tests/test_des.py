@@ -19,7 +19,7 @@ from fuzzaut import (
     check_blocking,
     conflict_check,
     generate,
-    greatest_weakly_invariant,
+    greatest_invariant,
     input_extension,
     join,
     natural_projection,
@@ -53,7 +53,7 @@ from conftest import (
 
 def blocked_quotient():
     base = blocking_showcase_recognizer()
-    return greatest_weakly_invariant(base, "right").quotient
+    return greatest_invariant(base, "wri").quotient
 
 
 def small_pair(lat=BOOL, letters=("x", "y")):
@@ -266,6 +266,14 @@ class TestReachMatrix:
         recz = data.draw(recognizers(LATTICES[name], letters))
         assert bounded_reach_matrix(recz, recz.n) == bounded_reach_matrix(recz, recz.n + 2)
 
+    @pytest.mark.parametrize("horizon", [-1, -3])
+    def test_negative_horizon_rejected(self, horizon):
+        # as prefix_closure_at does, rather than returning the identity
+        rec = blocking_showcase_recognizer()
+        for call in (bounded_reach_matrix, lambda r, h: prefix_closure_at(r, (), h)):
+            with pytest.raises(ValidationError, match="horizon must be nonnegative"):
+                call(rec, horizon)
+
 
 class TestBlocking:
     def test_showcase_is_nonblocking(self):
@@ -383,13 +391,13 @@ class TestConflict:
 
     def test_weak_left_quotient_preserves_verdict(self):
         a = alternating_showcase_recognizer()
-        quotient = greatest_weakly_invariant(a, "left").quotient
+        quotient = greatest_invariant(a, "wli").quotient
         b = one_state_sink(BOOL, letters=("x", "y"))
         assert conflict_check(a, b, 4).verdict == conflict_check(quotient, b, 4).verdict
 
     def test_weak_left_quotient_is_language_equivalent(self):
         a = alternating_showcase_recognizer()
-        quotient = greatest_weakly_invariant(a, "left").quotient
+        quotient = greatest_invariant(a, "wli").quotient
         for w in words_up_to(2, 5):
             assert recognize(quotient, w) == recognize(a, w)
             assert generate(quotient, w) == generate(a, w)

@@ -12,7 +12,7 @@ from fuzzaut import (
     FuzzyRecognizer,
     LatticeMismatch,
     NotBoolean,
-    TooLarge,
+    SizeLimitExceeded,
     ValidationError,
     afterset_quotient,
     aftersets,
@@ -115,13 +115,17 @@ class TestBruteForce:
 
     def test_too_large(self):
         a = rand_automaton(random.Random(3), BOOL, 5)
-        with pytest.raises(TooLarge):
+        with pytest.raises(SizeLimitExceeded):
             brute_force_greatest_invariant(a, "right")
 
     def test_not_boolean(self):
         a = rand_automaton(random.Random(3), GODEL, 3)
         with pytest.raises(NotBoolean):
             brute_force_greatest_invariant(a, "right")
+
+    def test_enumeration_too_large(self):
+        with pytest.raises(SizeLimitExceeded, match="capped at 4 states"):
+            crisp_quasi_orders(BOOL, 5)
 
     def test_enumeration_counts(self):
         # labeled preorders on n elements: 1, 4, 29, 355

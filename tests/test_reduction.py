@@ -19,11 +19,8 @@ from fuzzaut import (
     are_isomorphic,
     check_blocking,
     crisp_part,
-    foreset_quotient,
     from_fuzzy_set_left,
     greatest_invariant,
-    greatest_strongly_invariant,
-    greatest_weakly_invariant,
     is_fuzzy_order,
     is_quasi_order,
     join,
@@ -301,23 +298,23 @@ class TestGreatestInvariant:
 class TestStronglyInvariant:
     def test_showcase(self):
         a = automaton_ri_beats_rie()
-        assert greatest_strongly_invariant(a, "right") == mat(
+        assert greatest_invariant(a, "sri").quasi_order == mat(
             BOOL, [[1, 0, 1], [0, 1, 1], [0, 0, 1]]
         )
 
     def test_two_round_automaton(self):
         a = sri_two_round_automaton()
-        s = greatest_strongly_invariant(a, "right")
+        s = greatest_invariant(a, "sri").quasi_order
         assert s == mat(BOOL, [[1, 1, 1], [0, 1, 1], [0, 1, 1]])
         a2 = afterset_quotient(a, s)
-        assert greatest_strongly_invariant(a2, "right") == FuzzyMatrix.universal(BOOL, 2)
+        assert greatest_invariant(a2, "sri").quasi_order == FuzzyMatrix.universal(BOOL, 2)
 
     def test_identity_transitions(self):
         # brute check on 2 states: R o I = I forces R = I, so the greatest
         # strongly right invariant quasi-order over identity transitions is
         # the identity relation
         a = aut(BOOL, ("x",), FuzzyMatrix.identity(BOOL, 2))
-        kernel = greatest_strongly_invariant(a, "right")
+        kernel = greatest_invariant(a, "sri").quasi_order
         from fuzzaut.oracle import crisp_quasi_orders
         from fuzzaut.relation import compose
 
@@ -332,8 +329,8 @@ class TestStronglyInvariant:
     def test_results_satisfy_equations(self, rng):
         for lat in CORPUS_LATTICES:
             recz = rand_recognizer(rng, lat, 4)
-            for side in ("right", "left"):
-                strongest = greatest_strongly_invariant(recz, side)
+            for side, method in (("right", "sri"), ("left", "sli")):
+                strongest = greatest_invariant(recz, method).quasi_order
                 assert is_invariant(recz, strongest, side, strong=True)
 
 
@@ -393,7 +390,7 @@ def test_left_report_is_the_right_report_of_the_reverse(name, data):
 class TestWeaklyInvariant:
     def test_tau_chain_showcase(self):
         rec = tau_chain_recognizer()
-        report = greatest_weakly_invariant(rec, "right")
+        report = greatest_invariant(rec, "wri")
         assert report.converged
         expected = mat(BOOL, [[1, 1, 0, 1], [1, 1, 0, 1], [1, 1, 1, 1], [1, 1, 0, 1]])
         assert report.quasi_order == expected
@@ -403,33 +400,33 @@ class TestWeaklyInvariant:
 
     def test_alternating_showcase_both_sides(self):
         rec = alternating_showcase_recognizer()
-        wri = greatest_weakly_invariant(rec, "right")
+        wri = greatest_invariant(rec, "wri")
         assert wri.quasi_order == mat(BOOL, [[1, 0, 0], [0, 1, 1], [0, 0, 1]])
         a2 = wri.quotient
-        wli2 = greatest_weakly_invariant(a2, "left")
+        wli2 = greatest_invariant(a2, "wli")
         assert wli2.quasi_order == mat(BOOL, [[1, 0, 0], [0, 1, 1], [0, 1, 1]])
 
     def test_all_terminal_deterministic_gives_universal(self):
         # deterministic complete transitions keep tau_u at all-ones forever
         a = aut(BOOL, ("x", "y"), mat(BOOL, [[0, 1], [1, 0]]), mat(BOOL, [[1, 0], [1, 0]]))
         rec = FuzzyRecognizer(a, vec(BOOL, [1, 0]), vec(BOOL, [1, 1]))
-        report = greatest_weakly_invariant(rec, "right")
+        report = greatest_invariant(rec, "wri")
         assert report.quasi_order == FuzzyMatrix.universal(BOOL, 2)
 
     def test_truncation_is_reported_and_sound(self):
         a = product_nonterminating()
         rec = FuzzyRecognizer(a, vec(PROD, [1, 1]), vec(PROD, [1, "1/2"]))
-        report = greatest_weakly_invariant(rec, "left", max_states=8)
+        report = greatest_invariant(rec, "wli", max_states=8)
         assert not report.converged
         # every discovered sigma_u still constrains: result stays a quasi-order
         # above the true answer computed with a larger cap
-        fuller = greatest_weakly_invariant(rec, "left", max_states=64)
+        fuller = greatest_invariant(rec, "wli", max_states=64)
         assert leq(fuller.quasi_order, report.quasi_order)
 
     def test_weak_equivalence_is_natural_equivalence_of_weak_order(self, rng):
         for lat in CORPUS_LATTICES:
             recz = rand_recognizer(rng, lat, 4)
-            wri = greatest_weakly_invariant(recz, "right")
+            wri = greatest_invariant(recz, "wri")
             wrie = greatest_invariant(recz, "wrie")
             if wri.converged and wrie.converged:
                 assert wrie.quasi_order == natural_equivalence(wri.quasi_order)
@@ -438,7 +435,7 @@ class TestWeaklyInvariant:
 class TestAftersetQuotient:
     def test_strongly_invariant_showcase(self):
         a = automaton_ri_beats_rie()
-        s = greatest_strongly_invariant(a, "right")
+        s = greatest_invariant(a, "sri").quasi_order
         q = afterset_quotient(a, s)
         assert q.states == ("Q1", "Q2", "Q3")
         assert q.delta["x"] == mat(BOOL, [[1, 0, 1], [0, 0, 0], [0, 0, 0]])
@@ -451,7 +448,7 @@ class TestAftersetQuotient:
 
     def test_alternating_showcase_chain(self):
         rec = alternating_showcase_recognizer()
-        r1 = greatest_weakly_invariant(rec, "right").quasi_order
+        r1 = greatest_invariant(rec, "wri").quasi_order
         a2 = afterset_quotient(rec, r1)
         assert a2.automaton.states == ("Q1", "Q2", "Q3")
         assert a2.delta["x"] == mat(BOOL, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
@@ -459,7 +456,7 @@ class TestAftersetQuotient:
         assert a2.delta["y"] == mat(BOOL, [[0, 1, 1], [1, 1, 1], [1, 0, 0]])
         assert a2.sigma.entries == (1, 0, 0)
         assert a2.tau.entries == (0, 1, 1)
-        r2 = greatest_weakly_invariant(a2, "left").quasi_order
+        r2 = greatest_invariant(a2, "wli").quasi_order
         a3 = afterset_quotient(a2, r2)
         assert a3.delta["x"] == mat(BOOL, [[1, 0], [0, 0]])
         assert a3.delta["y"] == mat(BOOL, [[0, 1], [1, 1]])
@@ -471,24 +468,34 @@ class TestAftersetQuotient:
             afterset_quotient(automaton_ri_beats_rie(), FuzzyMatrix.identity(BOOL, 4))
 
 
+def _reps(r):
+    """The least states of the aftersets of r and of its foresets, the
+    aftersets of r^T."""
+    return [i for i, _ in aftersets(r)], [i for i, _ in aftersets(transpose(r))]
+
+
 class TestForesetQuotient:
+    # one state per distinct column of R: the foresets sit at the afterset
+    # representatives, so the foreset quotient is the afterset quotient
     def test_isomorphic_to_afterset(self):
         a = automaton_ri_beats_rie()
         r = greatest_invariant(a, "ri").quasi_order
-        assert are_isomorphic(afterset_quotient(a, r), foreset_quotient(a, r)) is not None
+        after, fore = _reps(r)
+        assert fore == after
+        assert afterset_quotient(a, r).n == len(fore)
 
     def test_identity(self, rng):
         recz = rand_recognizer(rng, CHAIN4, 4)
-        q = foreset_quotient(recz, FuzzyMatrix.identity(CHAIN4, 4))
-        assert are_isomorphic(recz, q) is not None
+        identity = FuzzyMatrix.identity(CHAIN4, 4)
+        assert _reps(identity) == ([0, 1, 2, 3], [0, 1, 2, 3])
+        assert are_isomorphic(recz, afterset_quotient(recz, identity)) is not None
 
     def test_weakly_reduced_recognizer(self):
         rec = tau_chain_recognizer()
-        r = greatest_weakly_invariant(rec, "right").quasi_order
-        fore = foreset_quotient(rec, r)
-        after = afterset_quotient(rec, r)
-        assert fore.n == 2
-        assert are_isomorphic(fore, after) is not None
+        r = greatest_invariant(rec, "wri").quasi_order
+        after, fore = _reps(r)
+        assert fore == after and len(fore) == 2
+        assert afterset_quotient(rec, r).n == 2
 
 
 def _entries(machine):
@@ -531,16 +538,18 @@ def test_foreset_quotient_is_the_afterset_quotient(name, data):
     r = data.draw(matrices(lat, rec.n, rec.n))
     reflexive = join(r, FuzzyMatrix.identity(lat, rec.n))
     q = transitive_closure(reflexive)
+    after, fore = _reps(q)
+    assert fore == after
     for machine in (rec, rec.automaton):
-        assert foreset_quotient(machine, q) == afterset_quotient(machine, q)
-        for s in (r, reflexive):
-            if is_quasi_order(s).is_quasi_order:
-                continue
-            with pytest.raises(NotQuasiOrder) as fore:
-                foreset_quotient(machine, s)
-            with pytest.raises(NotQuasiOrder) as after:
-                afterset_quotient(machine, s)
-            assert str(fore.value) == str(after.value)
+        names = tuple(f"Q{underlying(machine).states[i]}" for i in fore)
+        assert underlying(afterset_quotient(machine, q)).states == names
+    for s in (r, reflexive):
+        if is_quasi_order(s).is_quasi_order:
+            continue
+        with pytest.raises(NotQuasiOrder):
+            aftersets(transpose(s))
+        with pytest.raises(NotQuasiOrder):
+            aftersets(s)
 
 
 class TestQuotientQuasiOrder:
@@ -604,9 +613,9 @@ class TestAlternateReduce:
         with pytest.raises(ValidationError, match="max_rounds must be at least 1"):
             alternate_reduce(alternating_showcase_recognizer(), "wrl", max_rounds=max_rounds)
 
-    def test_above_isomorphism_cap_the_chain_goes_on(self):
-        # 14 states: the first left round keeps every state, its quotient
-        # differs from the input and are_isomorphic refuses that size
+    def test_same_size_round_with_new_entries_goes_on(self):
+        # 14 states: the first left round keeps every state, but its
+        # quotient differs from the input entry for entry, so the chain goes on
         rec = funnel_recognizer(14)
         result = alternate_reduce(rec, "lr")
         assert result.state_trace == (14, 14, 5, 5)
@@ -628,10 +637,10 @@ class TestAlternateReduce:
     def test_sri_descent_is_two_rounds(self):
         # strong invariance is not one-step reduced: 3 -> 2 -> 1
         a = sri_two_round_automaton()
-        s1 = greatest_strongly_invariant(a, "right")
+        s1 = greatest_invariant(a, "sri").quasi_order
         a2 = afterset_quotient(a, s1)
         assert a2.n == 2
-        s2 = greatest_strongly_invariant(a2, "right")
+        s2 = greatest_invariant(a2, "sri").quasi_order
         a3 = afterset_quotient(a2, s2)
         assert a3.n == 1
 
@@ -651,10 +660,10 @@ class TestStructuralTheorems:
     def test_wri_quotient_is_reduced(self, rng):
         for lat in CORPUS_LATTICES:
             recz = rand_recognizer(rng, lat, 4)
-            report = greatest_weakly_invariant(recz, "right")
+            report = greatest_invariant(recz, "wri")
             if not report.converged:
                 continue
-            again = greatest_weakly_invariant(report.quotient, "right")
+            again = greatest_invariant(report.quotient, "wri")
             if again.converged:
                 assert is_fuzzy_order(again.quasi_order)
                 assert again.state_trace[0] == again.state_trace[1]
@@ -684,9 +693,9 @@ class TestStructuralTheorems:
         for lat in CORPUS_LATTICES:
             for _ in range(4):
                 recz = rand_recognizer(rng, lat, 4)
-                sri = greatest_strongly_invariant(recz, "right")
+                sri = greatest_invariant(recz, "sri").quasi_order
                 ri = greatest_invariant(recz, "ri")
-                wri = greatest_weakly_invariant(recz, "right")
+                wri = greatest_invariant(recz, "wri")
                 cri = greatest_invariant(recz, "cri")
                 assert leq(sri, ri.quasi_order)
                 if wri.converged:

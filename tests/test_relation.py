@@ -16,7 +16,6 @@ from fuzzaut import (
     compose_mv,
     compose_vm,
     crisp_part,
-    foresets,
     from_fuzzy_set_left,
     from_fuzzy_set_right,
     is_fuzzy_equivalence,
@@ -266,7 +265,7 @@ class TestAftersets:
     def test_row_count_equals_column_count(self, r):
         q = transitive_closure(join(r, FuzzyMatrix.identity(r.lattice, r.rows)))
         rows = aftersets(q)
-        cols = foresets(q)
+        cols = aftersets(transpose(q))
         assert len(rows) == len(cols)
         assert [i for i, _ in rows] == [j for j, _ in cols]
 
