@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
+from functools import cache
 
 from .automaton import (
     FuzzyAutomaton,
@@ -70,20 +70,6 @@ def _lattice_from_doc(doc) -> Lattice:
         return Lattice(kind)
     except LatticeValueError as exc:
         raise ValidationError(str(exc)) from None
-
-
-def _value_parser(lat: Lattice):
-    """`lat.parse` that parses each distinct text once: a document repeats
-    a few value texts many times."""
-    parsed: dict[str, Fraction] = {}
-
-    def parse(text: str) -> Fraction:
-        value = parsed.get(text)
-        if value is None:
-            value = parsed[text] = lat.parse(text)
-        return value
-
-    return parse
 
 
 def _matrix_from_doc(lat: Lattice, parse, rows, n: int, where: str) -> FuzzyMatrix:
@@ -134,7 +120,9 @@ def machine_from_document(doc) -> Machine:
     n = len(states)
     if set(doc["delta"]) != set(alphabet):
         raise ValidationError("delta letters must match the alphabet exactly")
-    parse = _value_parser(lat)
+    # a document repeats a few value texts many times: each is parsed once,
+    # to one Fraction object
+    parse = cache(lat.parse)
     delta = {
         x: _matrix_from_doc(lat, parse, doc["delta"][x], n, f"delta[{x}]") for x in alphabet
     }

@@ -42,9 +42,8 @@ Equivalence methods meet biresidua, and x <-> y = (x -> y) meet (y -> x):
 E^r = S meet S^T for S the quasi-order step at E, and likewise for each
 constraint.
 
-A step makes one composition, [d1; ...; dk; R] o R, which gives every
-dx o R, read by the step's residual, and R o R, read by the quasi-order
-check before the residual is taken.
+A step makes one composition, [d1; ...; dk] o R, which gives every
+dx o R, read by the step's residual.
 
 Each step refines only what changed.  A column c that R_(i+1) =
 R_i meet R_i^r shares with R_i gives the same column c of every dx o R,
@@ -59,13 +58,14 @@ idempotent, runs the residual on the distinct rows of
 columns over classes of equal rows of R before the product is exact too,
 since * distributes over the join, but once equal columns are dropped it
 cost more than the product it saved.)  Every iterate of the plain
-iteration is still computed, bit for bit.  The
-check reads R o R at the changed columns only, and stays complete: at an
-unchanged column b, R_(i+1) <= R_i and the earlier check give
-(R_(i+1) o R_(i+1))(.,b) <= (R_i o R_i)(.,b) <= R_i(.,b) = R_(i+1)(.,b).
-So a converged iterate has been checked by its last step, and its report
-takes the afterset representatives without a product of its own.  The
-public `r_step`, `l_step`, `req_step` and `leq_step` compute the full step.
+iteration is still computed, bit for bit.
+
+Only the start is checked to be a quasi-order.  v(b) -> v(a) is reflexive
+and transitive for every vector v, and meets and crisp parts keep both, so
+every relation built from the start is a quasi-order, converged or not.
+Every report takes its afterset representatives without a product.  The
+public `r_step`, `l_step`, `req_step` and `leq_step` compute the full step
+at an R from the caller, and check it first.
 
 A reflexive R with R <= R^r satisfies R o dx o R = dx o R, and one below
 R^tau satisfies R o tau = tau.  A converged iterate of an iterative method
@@ -127,7 +127,6 @@ from .relation import (
     leq,
     require_quasi_order,
     require_quasi_order_levels,
-    require_quasi_order_square,
     residual_levels,
     transpose,
     transpose_levels,
@@ -195,9 +194,10 @@ def leq_step(machine: Machine, e: FuzzyMatrix) -> FuzzyMatrix:
 
 
 def _step(machine: Machine, r: FuzzyMatrix, side: str, kernel: str) -> FuzzyMatrix:
-    """The full step R^r; R^l is the right step of the reversed machine at
-    R^T, transposed back."""
+    """The full step R^r at a quasi-order R; R^l is the right step of the
+    reversed machine at R^T, transposed back."""
     lv = Levels(machine, r)
+    require_quasi_order_levels(lv.codec, lv.relation, lv.n)
     left = side == "left"
     if left:
         lv = lv.reversed()
@@ -206,9 +206,9 @@ def _step(machine: Machine, r: FuzzyMatrix, side: str, kernel: str) -> FuzzyMatr
 
 
 def _letters(lv: Levels) -> list:
-    """Column c of the stacked letters [d1; ...; dk], for each state c."""
+    """[d1; ...; dk]^T, row-major: row c holds column c of each dx."""
     n = lv.n
-    return [list(chain.from_iterable(d[c::n] for d in lv.delta)) for c in range(n)]
+    return [x for c in range(n) for d in lv.delta for x in d[c::n]]
 
 
 def _right_step(codec: Codec, n: int, letters: list, r: list, cols, kernel: str) -> list:
@@ -216,27 +216,20 @@ def _right_step(codec: Codec, n: int, letters: list, r: list, cols, kernel: str)
     (dx o R)(b,c) -> (dx o R)(a,c) at (a,b), met with its transpose for
     the biresiduum kernel: R^r when cols holds every column, and in the
     driver the terms of the columns that changed in the last iterate (see
-    the module docstring).  `letters` holds the columns of [d1; ...; dk].
-    R is checked to be reflexive and, at `cols`, transitive first.
+    the module docstring).  `letters` is `_letters`, [d1; ...; dk]^T.
 
-    One product, [d1; ...; dk; R] o R at cols, gives every dx o R and R o R
-    there.  It is taken transposed, (R at cols)^T o [d1; ...; dk; R]^T, so
-    that each row of the result holds one column of every dx o R and of
-    R o R.  Equal columns of R give equal columns of the product, so one of
-    each is kept.  The terms are the columns of every dx o R there, met by
-    `_meet_of_residua`."""
+    One product, [d1; ...; dk] o R at cols, gives every dx o R there.  It
+    is taken transposed, (R at cols)^T o [d1; ...; dk]^T, so that each row
+    of the result holds one column of every dx o R.  Equal columns of R
+    give equal columns of the product, so one of each is kept.  The terms
+    are the columns of every dx o R there, met by `_meet_of_residua`."""
     # the columns of R at cols, one of each class of equal columns
     at_cols = [r[b::n] for b in cols]
     at_cols = [at_cols[b] for b in distinct_rows(codec, at_cols)[1]]
-    k, w, h = len(letters[0]) // n, len(at_cols), len(letters[0]) + n
-    bound = list(chain.from_iterable(at_cols))
-    # row c of [d1; ...; dk; R]^T: column c of each dx, then of R
-    stack = list(chain.from_iterable(letters[c] + r[c::n] for c in range(n)))
-    out = compose_levels(codec, bound, stack, w, n, h)
-    # row b of out: column b of each dx o R, then of R o R
-    square = chain.from_iterable(out[b * h + k * n : (b + 1) * h] for b in range(w))
-    require_quasi_order_square(codec, r, list(square), n, bound)
-    columns = [out[b * h + x * n : b * h + (x + 1) * n] for b in range(w) for x in range(k)]
+    w, h = len(at_cols), len(letters) // n
+    out = compose_levels(codec, list(chain.from_iterable(at_cols)), letters, w, n, h)
+    # row b of out: column b of each dx o R
+    columns = [out[j : j + n] for j in range(0, w * h, n)]
     return _meet_of_residua(codec, n, columns, kernel)
 
 
@@ -377,10 +370,7 @@ def greatest_invariant(
 
 def _report(lv: Levels, method, relation, iterates, converged) -> ReductionReport:
     spec = METHODS[method]
-    # a converged iterate was checked by its last step; a closed form, a
-    # weak result or an iterate left by max_iter was not
-    checked = converged and spec.source == "iterative"
-    reps = afterset_reps(lv.codec, relation, lv.n, checked)
+    reps = afterset_reps(lv.codec, relation, lv.n)
     # a converged iterate and a closed form are invariant
     quotient = _quotient_from_reps(lv, relation, reps, converged and spec.source != "weak")
     if spec.side == "left":
@@ -449,6 +439,7 @@ def afterset_quotient(machine: Machine, r: FuzzyMatrix) -> Machine:
     """The afterset automaton/recognizer: one state per distinct row of r,
     transitions (R o dx o R), initial sigma o R, terminal R o tau."""
     lv = Levels(machine, r)
+    require_quasi_order_levels(lv.codec, lv.relation, lv.n)
     return _quotient_from_reps(lv, lv.relation, afterset_reps(lv.codec, lv.relation, lv.n))
 
 

@@ -52,10 +52,9 @@ and `from_fuzzy_set_right` all use it, and the reduction driver keeps its
 relations as levels across a whole iteration.  `oracle.reference_compose`
 is the `Fraction` route the kernel is tested against.
 
-The quasi-order check on levels reads r o r: `require_quasi_order_levels`
-composes it and hands it to `require_quasi_order_square`, which a caller
-whose own product already holds r o r, or some of its columns (a
-refinement step), calls directly.
+The quasi-order check on levels, `require_quasi_order_levels`, composes
+r o r and reads it against r.  It runs on input from outside only: every
+relation the reduction driver builds is a quasi-order by construction.
 """
 
 from __future__ import annotations
@@ -566,20 +565,10 @@ def require_quasi_order(r: FuzzyMatrix) -> FuzzyMatrix:
 def require_quasi_order_levels(codec: Codec, r: list, n: int) -> None:
     """Raise NotQuasiOrder unless the n x n level relation r is reflexive
     and transitive (r o r <= r)."""
-    require_quasi_order_square(codec, r, compose_levels(codec, r, r, n, n, n), n)
-
-
-def require_quasi_order_square(
-    codec: Codec, r: list, square: list, n: int, bound: list | None = None
-) -> None:
-    """`require_quasi_order_levels` with the square r o r given: for a
-    caller whose own product already holds it.  A caller that holds only
-    some columns of r o r passes the same columns of r as `bound`, and
-    transitivity is read there; reflexivity is read off r."""
     missing = []
     if any(r[i * n + i] != codec.top for i in range(n)):
         missing.append("reflexive")
-    if not all(map(le, square, r if bound is None else bound)):
+    if not all(map(le, compose_levels(codec, r, r, n, n, n), r)):
         missing.append("transitive")
     if missing:
         raise NotQuasiOrder(f"relation is not {' or '.join(missing)}")
@@ -616,19 +605,18 @@ def aftersets(r: FuzzyMatrix) -> list[tuple[int, FuzzyVector]]:
     if not r.is_square:
         raise DimensionMismatch("quasi-order test needs a square matrix")
     codec, (levels,) = r.lattice.encode(r.entries)
+    require_quasi_order_levels(codec, levels, r.rows)
     return [(i, r.row_vector(i)) for i in afterset_reps(codec, levels, r.rows)]
 
 
-def afterset_reps(codec: Codec, r: list, n: int, checked: bool = False) -> list[int]:
+def afterset_reps(codec: Codec, r: list, n: int) -> list[int]:
     """Least state index of each distinct row of the n x n level quasi-order r.
 
     First-occurrence order makes quotient constructions deterministic; the
-    count always equals the distinct-column count.  Raises NotQuasiOrder
-    unless r is a quasi-order; a caller that has already checked r passes
-    `checked` and skips the product of that check.
+    count always equals the distinct-column count.  r is not checked: the
+    public callers check their input, and the reduction driver builds only
+    quasi-orders (see `reduction`).
     """
-    if not checked:
-        require_quasi_order_levels(codec, r, n)
     return distinct_rows(codec, [r[i * n : (i + 1) * n] for i in range(n)])[1]
 
 

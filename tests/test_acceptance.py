@@ -11,7 +11,6 @@ from fractions import Fraction as F
 
 from fuzzaut import (
     FuzzyMatrix,
-    FuzzyRecognizer,
     Lattice,
     afterset_quotient,
     aftersets,
@@ -20,7 +19,6 @@ from fuzzaut import (
     check_blocking,
     check_general_system,
     conflict_check,
-    crisp_part,
     crisp_quasi_orders,
     greatest_invariant,
     languages_equal_up_to,
@@ -34,7 +32,6 @@ from fuzzaut import (
 
 from conftest import (
     BOOL,
-    CHAIN4,
     CORPUS_LATTICES,
     GODEL,
     PROD,
@@ -51,7 +48,6 @@ from conftest import (
     rand_recognizer,
     sri_two_round_automaton,
     tau_chain_recognizer,
-    vec,
 )
 
 

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction as F
 from functools import reduce
 
 import pytest
@@ -8,8 +7,6 @@ from hypothesis import strategies as st
 
 from fuzzaut import (
     EmptySharedAlphabet,
-    FuzzyAutomaton,
-    FuzzyRecognizer,
     Lattice,
     LatticeMismatch,
     NotASuperset,

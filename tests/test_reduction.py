@@ -18,7 +18,6 @@ from fuzzaut import (
     alternate_reduce,
     are_isomorphic,
     check_blocking,
-    crisp_part,
     from_fuzzy_set_left,
     greatest_invariant,
     is_fuzzy_order,
@@ -37,7 +36,7 @@ from fuzzaut import (
 )
 from fuzzaut import reduction, relation
 from fuzzaut.reduction import leq_step, req_step
-from fuzzaut.oracle import check_general_system, languages_equal_up_to
+from fuzzaut.oracle import check_general_system, languages_equal_up_to, reference_compose
 from fuzzaut.reduction import is_invariant
 
 from conftest import (
@@ -50,7 +49,6 @@ from conftest import (
     alternating_showcase_recognizer,
     aut,
     automaton_ri_beats_rie,
-    blocking_showcase_recognizer,
     cycle_recognizer,
     funnel_recognizer,
     godel_cycle_automaton,
@@ -92,8 +90,8 @@ class TestRStep:
     @pytest.mark.parametrize("lat", [BOOL, GODEL, CHAIN4, PROD])
     @pytest.mark.parametrize("step", [r_step, l_step, req_step, leq_step])
     def test_check_reads_the_square_block(self, lat, step):
-        # the one letter is the identity, so dx o R = R o dx = R and only
-        # the R o R block of the step's product can reject R
+        # the one letter is the identity, so dx o R = R o dx = R: the step's
+        # own check of R o R <= R and of the diagonal must reject R
         a = aut(lat, ("x",), FuzzyMatrix.identity(lat, 3))
         v = 1 if lat == BOOL else "3/4"  # v * v > 0 on every lattice here
         not_transitive = mat(lat, [[1, v, 0], [0, 1, v], [0, 0, 1]])
@@ -109,10 +107,14 @@ class TestRStep:
         counted = lambda *args: calls.append(args) or original(*args)  # noqa: E731
         monkeypatch.setattr(reduction, "compose_levels", counted)
         a = rand_recognizer(rng, GODEL, 6).automaton
+        k = len(a.alphabet)
         for step in (r_step, l_step, req_step, leq_step):
-            calls.clear()
-            step(a, FuzzyMatrix.universal(GODEL, 6))
-            assert len(calls) == 1
+            # the universal relation has one distinct column, the identity six
+            for r, w in ((FuzzyMatrix.universal(GODEL, 6), 1), (FuzzyMatrix.identity(GODEL, 6), 6)):
+                calls.clear()
+                step(a, r)
+                # (R at its distinct columns)^T o [d1; ...; dk]^T, w x n . n x (k n)
+                assert [args[3:] for args in calls] == [(w, 6, k * 6)]
         for method in ("ri", "li", "rie", "cli_crisp", "sri", "sli"):
             calls.clear()
             report = greatest_invariant(a, method)
@@ -136,48 +138,30 @@ class TestRStep:
             run()
             assert len(calls) == 1
 
-    def test_report_checks_only_an_unchecked_result(self, monkeypatch, rng):
-        # the step that finds a converged iterate equal to its successor has
-        # checked it; a closed form, a weak result and an iterate left by
-        # max_iter are checked by the report
+    def test_driver_checks_only_its_start(self, monkeypatch, rng):
+        # every relation the driver builds is a quasi-order by construction,
+        # converged or not (see the module docstring); only a start from the
+        # caller is checked
         calls = []
         original = relation.require_quasi_order_levels
         counted = lambda *args: calls.append(args) or original(*args)  # noqa: E731
         monkeypatch.setattr(relation, "require_quasi_order_levels", counted)
+        monkeypatch.setattr(reduction, "require_quasi_order_levels", counted)
         machine = rand_recognizer(rng, GODEL, 6)
-        cases = [(machine, method, 256, True, 0) for method in ("ri", "li", "rie", "cli_crisp")]
-        cases += [(machine, "sri", 256, True, 1), (machine, "wri", 256, True, 1)]
-        cases += [(product_nonterminating(), "ri", 3, False, 1)]
-        for m, method, max_iter, converged, checks in cases:
-            calls.clear()
-            report = greatest_invariant(m, method, max_iter=max_iter)
-            assert report.converged == converged
-            assert len(calls) == checks, method
-
-    @pytest.mark.parametrize("method", ["ri", "li"])
-    def test_changed_column_check_catches_a_bad_iterate(self, monkeypatch, method):
-        # the first step's residual loses one entry, so the first iterate is
-        # reflexive but not transitive; the next step checks only the
-        # changed columns and must still reject it
-        calls = []
-        original = reduction.residual_levels
-
-        def faulty(codec, p, q, k, m, n):
-            out = original(codec, p, q, k, m, n)
-            calls.append(m)
-            if len(calls) == 1:
-                i = next(i for i, x in enumerate(out) if x == codec.top and i // n != i % n)
-                out[i] = codec.zero
-            return out
-
-        monkeypatch.setattr(reduction, "residual_levels", faulty)
-        # the first iterate is [[1, 1, 1], [1/2, 1, 1], [1/4, 1/2, 1]] (ri) or
-        # its transpose (li), from three distinct rows of dx o R
-        a = aut(GODEL, ("x",), mat(GODEL, [[1, 0, 0], [0, "1/2", 0], [0, 0, "1/4"]]))
-        with pytest.raises(NotQuasiOrder, match="^relation is not transitive$"):
-            greatest_invariant(a, method)
-        # the second step rejected it before its own residual
-        assert len(calls) == 1
+        q = rand_quasi_order(rng, GODEL, 6)
+        e = meet(q, transpose(q))
+        cases = [
+            (machine, method, e if spec.kernel == "biresiduum" else q, 256)
+            for method, spec in reduction.METHODS.items()
+        ]
+        # an iteration that max_iter leaves unconverged
+        cases += [(product_nonterminating(), "ri", FuzzyMatrix.universal(PROD, 2), 3)]
+        for m, method, start, max_iter in cases:
+            for given, checks in ((None, 0), (start, 1)):
+                calls.clear()
+                report = greatest_invariant(m, method, given, max_iter=max_iter)
+                assert report.converged == (max_iter == 256), method
+                assert len(calls) == checks, method
 
     def test_monotone(self, rng):
         a = rand_recognizer(rng, GODEL, 4).automaton
@@ -385,6 +369,33 @@ def test_left_report_is_the_right_report_of_the_reverse(name, data):
             assert report.quasi_order == transpose(twin.quasi_order)
             assert (report.iterates, report.converged) == (twin.iterates, twin.converged)
             assert report.quotient == reverse(twin.quotient)
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_every_report_is_a_quasi_order(name, data):
+    """Every relation the driver builds is a meet of relations f(b) -> f(a)
+    (f(a) <-> f(b) for an equivalence method) and of the checked start, so
+    it is a quasi-order whether or not it converged: read off each report
+    with the scalar reference composition, apart from the kernel."""
+    lat = LATTICES[name]
+    rec = data.draw(recognizers(lat))
+    n = rec.n
+    q = transitive_closure(join(data.draw(matrices(lat, n, n)), FuzzyMatrix.identity(lat, n)))
+    caps = {"max_states": 64, "max_depth": 8}
+    for method, spec in reduction.METHODS.items():
+        equivalence = spec.kernel == "biresiduum"
+        machines = (rec,) if spec.source == "weak" else (rec, rec.automaton)
+        for machine in machines:
+            for start in (None, meet(q, transpose(q)) if equivalence else q):
+                for max_iter in (1, 2, 256):
+                    report = greatest_invariant(machine, method, start, max_iter=max_iter, **caps)
+                    r = report.quasi_order
+                    assert all(r[i, i] == 1 for i in range(n)), method
+                    assert leq(reference_compose(r, r), r), method
+                    assert not equivalence or r == transpose(r), method
+                    assert not spec.crisp or set(r.entries) <= {0, 1}, method
 
 
 class TestWeaklyInvariant:

@@ -1,5 +1,5 @@
 """The library's surface: the names the traced benchmark rebinds resolve,
-and no module imports a name it never uses."""
+and no module, test or script imports a name it never uses."""
 
 import ast
 import importlib.util
@@ -72,9 +72,12 @@ def test_the_scan_sees_an_unused_import():
     assert unused_imports(source) == ["line 2: os", "line 3: c"]
 
 
-@pytest.mark.parametrize(
-    "path", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-)
+# the library's modules by file name, the tests and scripts by folder and
+# file name; `__init__.py` imports to re-export, so it is left out
+SCANNED = {p.name: p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
+SCANNED |= {f"{d}/{p.name}": p for d in ("tests", "scripts") for p in (ROOT / d).glob("*.py")}
+
+
+@pytest.mark.parametrize("path", sorted(SCANNED))
 def test_no_module_imports_a_name_it_never_uses(path):
-    # `__init__.py` imports to re-export, so it is left out
-    assert unused_imports((PACKAGE / path).read_text(encoding="utf-8")) == []
+    assert unused_imports(SCANNED[path].read_text(encoding="utf-8")) == []
