@@ -21,7 +21,6 @@ from .lattice import Lattice
 from .relation import (
     FuzzyMatrix,
     FuzzyVector,
-    QuasiOrderWitness,
     aftersets,
     compose,
     compose_mv,

@@ -144,12 +144,20 @@ def require_recognizer(machine, what: str) -> FuzzyRecognizer:
     return machine
 
 
+def check_count(value: int, what: str, least: int = 0) -> None:
+    """Raise ValidationError unless value is an int, not a bool, and at least
+    `least`: a float or a bool is refused, never converted."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        bound = f"at least {least}" if least else "nonnegative"
+        raise ValidationError(f"{what} must be {bound}, got {value}")
+
+
 def check_caps(max_states: int, max_depth: int) -> None:
     """Raise ValidationError unless the state family caps are usable."""
-    if max_states < 1:
-        raise ValidationError("max_states must be at least 1")
-    if max_depth < 0:
-        raise ValidationError("max_depth must be nonnegative")
+    check_count(max_states, "max_states", 1)
+    check_count(max_depth, "max_depth")
 
 
 def check_word(alphabet: tuple[str, ...], word: Word) -> None:
@@ -238,6 +246,7 @@ def are_isomorphic(a: Machine, b: Machine, max_states: int = 12) -> tuple[int, .
     if aut_a.alphabet != aut_b.alphabet:
         raise AlphabetMismatch(f"{aut_a.alphabet} vs {aut_b.alphabet}")
     n = aut_a.n
+    check_count(max_states, "max_states", 1)
     if n != aut_b.n:
         return None
     if n > max_states:
@@ -381,14 +390,17 @@ class FuzzyStateFamily:
     """All distinct fuzzy state sets reachable from sigma (forward) or tau (reverse).
 
     Members are (witness word, vector) in length-then-lexicographic discovery
-    order.  complete means the family is closed under every letter; truncated
-    means a cap stopped exploration before closure could be verified.
+    order.  truncated means a cap stopped exploration before closure could be
+    verified; complete, its negation, that every letter closes the family.
     """
 
     direction: str
     members: tuple[tuple[Word, FuzzyVector], ...]
-    complete: bool
     truncated: bool
+
+    @property
+    def complete(self) -> bool:
+        return not self.truncated
 
 
 def reachable_state_family(
@@ -402,10 +414,12 @@ def reachable_state_family(
     members, truncated = lv.family(direction, max_states, max_depth)
     lat, decode = lv.aut.lattice, lv.codec.decode
     decoded = tuple((w, FuzzyVector(lat, decode(g))) for g, w in members.items())
-    return FuzzyStateFamily(direction, decoded, complete=not truncated, truncated=truncated)
+    return FuzzyStateFamily(direction, decoded, truncated)
 
 
 def words_up_to(alphabet_size: int, max_len: int):
     """All words of length <= max_len in length-then-lexicographic order."""
+    check_count(alphabet_size, "alphabet_size")
+    check_count(max_len, "max_len")
     for length in range(max_len + 1):
         yield from itertools.product(range(alphabet_size), repeat=length)

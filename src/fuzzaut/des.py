@@ -25,6 +25,7 @@ from .automaton import (
     FuzzyRecognizer,
     Levels,
     Word,
+    check_count,
     check_word,
     require_recognizer,
 )
@@ -166,8 +167,7 @@ def bounded_reach_matrix(rec: FuzzyRecognizer, horizon: int) -> FuzzyMatrix:
     Since x * y <= x, T_h is constant from h = n - 1 on and covers all of
     X*; the iteration stops at the first step that changes nothing.
     """
-    if horizon < 0:
-        raise ValidationError("horizon must be nonnegative")
+    check_count(horizon, "horizon")
     lv = Levels(rec)
     return lv.matrix(_reach_levels(lv, horizon))
 
@@ -191,8 +191,7 @@ def prefix_closure_at(rec: FuzzyRecognizer, word: Word, horizon: int) -> Fractio
     """join over |v| <= horizon of L(rec)(word . v): a lower bound of the
     prefix-closure, exact whenever the supremum is attained in the horizon,
     as it always is for horizon >= n - 1."""
-    if horizon < 0:
-        raise ValidationError("horizon must be nonnegative")
+    check_count(horizon, "horizon")
     lv = Levels(require_recognizer(rec, "a word's fuzzy state"))
     codec, n = lv.codec, lv.n
     f = compose_levels(codec, lv.state_after(word), _reach_levels(lv, horizon), 1, n, n)
@@ -225,8 +224,7 @@ def check_blocking(
     the horizon are inspected: a gap there is a certified 'blocking', and
     finding none gives 'undetermined'.
     """
-    if horizon < 1:
-        raise ValidationError("horizon must be at least 1")
+    check_count(horizon, "horizon", 1)
     lv = Levels(require_recognizer(rec, "the blocking check"))
     family, truncated = lv.family("forward", max_states, max_depth)
     codec, n = lv.codec, lv.n

@@ -211,6 +211,8 @@ class Lattice:
         A decimal exponent beyond MAX_EXPONENT in magnitude is refused before
         `Fraction` expands it: "1e-3000000" would otherwise cost seconds and
         a ten-million-bit denominator."""
+        if not isinstance(text, str):
+            raise LatticeValueError(f"cannot parse value {text!r}: expected a string")
         exponent = _EXPONENT.search(text)
         # five significant digits already exceed the bound
         if exponent and int(exponent[1].replace("_", "").lstrip("0")[:5] or 0) > MAX_EXPONENT:

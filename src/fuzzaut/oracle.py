@@ -23,6 +23,7 @@ from .automaton import (
     Levels,
     Machine,
     Word,
+    check_count,
     require_recognizer,
     underlying,
 )
@@ -32,7 +33,6 @@ from .errors import (
     LatticeMismatch,
     NotBoolean,
     SizeLimitExceeded,
-    ValidationError,
 )
 from .lattice import ONE, ZERO
 from .record import record
@@ -42,7 +42,6 @@ from .relation import (
     compose,
     compose_levels,
     compose_vm,
-    overlap,
     require_quasi_order,
 )
 
@@ -104,23 +103,20 @@ def languages_equal_up_to(a: FuzzyRecognizer, b: FuzzyRecognizer, k: int) -> Equ
 
     Walks the forward state family of the direct sum A (+) B to depth k
     and stops at the first member whose two halves give different degrees.
-    A word whose pair of fuzzy states was already reached has an earlier
-    witness with the same degrees, and so have its extensions, so that
-    member's witness is the first diverging word.  The work is bounded by
-    the number of distinct pairs, and by k where they are infinitely many;
-    only a divergence is decoded.  The empty word is compared before the
-    sum is built."""
-    if k < 0:
-        raise ValidationError(f"word length bound must be nonnegative, got {k}")
+    The walk's first member is (sigma_A, sigma_B), witnessed by the empty
+    word, so the empty word is compared first, and only there.  A word
+    whose pair of fuzzy states was already reached has an earlier witness
+    with the same degrees, and so have its extensions, so that member's
+    witness is the first diverging word.  The work is bounded by the
+    number of distinct pairs, and by k where they are infinitely many;
+    only a divergence is decoded."""
+    check_count(k, "word length bound")
     for machine in (a, b):
         require_recognizer(machine, "a language comparison")
     if a.alphabet != b.alphabet:
         raise AlphabetMismatch(f"{a.alphabet} vs {b.alphabet}")
     if a.lattice != b.lattice:
         raise LatticeMismatch(f"{a.lattice.describe()} vs {b.lattice.describe()}")
-    xa, xb = overlap(a.sigma, a.tau), overlap(b.sigma, b.tau)
-    if xa != xb:
-        return EquivalenceVerdict(k, ((), xa, xb))
     lv = Levels(_direct_sum(a, b))
     codec, na, nb = lv.codec, a.n, b.n
     tau_a, tau_b = lv.tau[:na], lv.tau[na:]
@@ -156,6 +152,7 @@ def _crisp_quasi_orders(n: int) -> tuple[tuple[int, ...], ...]:
 
 def crisp_quasi_orders(lattice, n: int) -> list[FuzzyMatrix]:
     """All crisp quasi-orders on n states as Boolean-valued matrices."""
+    check_count(n, "n")
     mats = []
     for rows in _crisp_quasi_orders(n):
         flat = tuple(

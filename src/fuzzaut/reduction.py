@@ -94,7 +94,9 @@ machine above another entrywise with equal sums is equal to it.
 Iterations over locally finite lattices terminate; over the product lattice
 they may not, in which case the report carries the last iterate instead of
 raising.  Every iterate is met with the one before, so the last iterate is
-also the infimum of all of them.
+also the infimum of all of them.  A `ReductionReport` therefore stores the
+last iterate once: its `iterate_infimum` and `state_trace` are properties
+read off `quasi_order` and `quotient`.
 """
 
 from __future__ import annotations
@@ -108,6 +110,7 @@ from .automaton import (
     Levels,
     Machine,
     check_caps,
+    check_count,
     require_recognizer,
     reverse,
     underlying,
@@ -166,8 +169,16 @@ class ReductionReport:
     converged: bool
     quasi_order: FuzzyMatrix
     quotient: Machine
-    state_trace: tuple[int, int]
-    iterate_infimum: FuzzyMatrix
+
+    @property
+    def iterate_infimum(self) -> FuzzyMatrix:
+        """The infimum of all iterates: they descend, so it is the last one."""
+        return self.quasi_order
+
+    @property
+    def state_trace(self) -> tuple[int, int]:
+        """The machine's state count, then the quotient's."""
+        return (self.quasi_order.rows, underlying(self.quotient).n)
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +326,7 @@ def greatest_invariant(
         raise ValidationError(f"unknown method {method!r}; expected one of {tuple(METHODS)}")
     if spec.source == "weak":
         require_recognizer(machine, f"method {method}")
-    if max_iter < 1:
-        raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
+    check_count(max_iter, "max_iter", 1)
     check_caps(max_states, max_depth)
     lv = Levels(machine, start)
     if start is not None:
@@ -376,17 +386,7 @@ def _report(lv: Levels, method, relation, iterates, converged) -> ReductionRepor
     if spec.side == "left":
         # back from the reversed machine
         relation, quotient = transpose_levels(relation, lv.n), reverse(quotient)
-    quasi_order = lv.matrix(relation)
-    return ReductionReport(
-        method=method,
-        iterates=iterates,
-        converged=converged,
-        quasi_order=quasi_order,
-        quotient=quotient,
-        state_trace=(lv.n, len(reps)),
-        # the iterates descend, so their infimum is the last one
-        iterate_infimum=quasi_order,
-    )
+    return ReductionReport(method, iterates, converged, lv.matrix(relation), quotient)
 
 
 # ---------------------------------------------------------------------------
@@ -445,13 +445,12 @@ def afterset_quotient(machine: Machine, r: FuzzyMatrix) -> Machine:
 
 def quotient_quasi_order(r: FuzzyMatrix, s: FuzzyMatrix) -> FuzzyMatrix:
     """S/R on the afterset representatives of R, defined by S/R(R_a,R_b) = S(a,b)."""
-    require_quasi_order(r)
+    reps = [i for i, _ in aftersets(r)]
     require_quasi_order(s)
     if (r.rows, r.cols) != (s.rows, s.cols):
         raise ContainmentViolated("relations must share dimensions")
     if not leq(r, s):
         raise ContainmentViolated("need R <= S entrywise")
-    reps = [i for i, _ in aftersets(r)]
     flat = tuple(s[a, b] for a in reps for b in reps)
     return FuzzyMatrix(r.lattice, len(reps), len(reps), flat)
 
@@ -508,8 +507,7 @@ def alternate_reduce(
         raise ValidationError(f"unknown schedule {schedule!r}; expected one of {sorted(SCHEDULES)}")
     if schedule.startswith("w"):
         require_recognizer(machine, f"schedule {schedule}")
-    if max_rounds < 1:
-        raise ValidationError(f"max_rounds must be at least 1, got {max_rounds}")
+    check_count(max_rounds, "max_rounds", 1)
     methods = SCHEDULES[schedule]
 
     current = machine

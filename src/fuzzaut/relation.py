@@ -55,6 +55,8 @@ is the `Fraction` route the kernel is tested against.
 The quasi-order check on levels, `require_quasi_order_levels`, composes
 r o r and reads it against r.  It runs on input from outside only: every
 relation the reduction driver builds is a quasi-order by construction.
+`is_quasi_order`, `require_quasi_order` and `aftersets` run that one check
+on a square matrix's own levels; `is_quasi_order` is a bool, its answer.
 """
 
 from __future__ import annotations
@@ -76,11 +78,14 @@ from .lattice import _NUM_DEN, Codec, Lattice, ONE, ZERO
 from .record import record
 
 
-def _require_tuple(entries) -> None:
+def _check_entries(lattice: Lattice, entries) -> None:
     # a list would leave the record unhashable, unequal to its tuple twin
     # and open to mutation after its entries were validated
     if not isinstance(entries, tuple):
         raise ValidationError(f"entries must be a tuple, got {type(entries).__name__}")
+    # one check per distinct entry object: parsed and decoded values repeat
+    for x in {id(x): x for x in entries}.values():
+        lattice.validate(x)
 
 
 @record
@@ -91,10 +96,7 @@ class FuzzyVector:
     entries: tuple[Fraction, ...]
 
     def __post_init__(self):
-        _require_tuple(self.entries)
-        # one check per distinct entry object: parsed and decoded values repeat
-        for x in {id(x): x for x in self.entries}.values():
-            self.lattice.validate(x)
+        _check_entries(self.lattice, self.entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -125,15 +127,12 @@ class FuzzyMatrix:
     entries: tuple[Fraction, ...]
 
     def __post_init__(self):
-        _require_tuple(self.entries)
+        _check_entries(self.lattice, self.entries)
         if len(self.entries) != self.rows * self.cols:
             raise DimensionMismatch(
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries, "
                 f"got {len(self.entries)}"
             )
-        # one check per distinct entry object: parsed and decoded values repeat
-        for x in {id(x): x for x in self.entries}.values():
-            self.lattice.validate(x)
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
@@ -512,39 +511,22 @@ def transitive_closure(r: FuzzyMatrix) -> FuzzyMatrix:
     return r
 
 
-@record
-class QuasiOrderWitness:
-    """Reflexivity/transitivity/symmetry facts about a square relation."""
-
-    matrix: FuzzyMatrix
-    reflexive: bool
-    transitive: bool
-    symmetric: bool
-
-    @property
-    def is_quasi_order(self) -> bool:
-        return self.reflexive and self.transitive
-
-
-def is_quasi_order(r: FuzzyMatrix) -> QuasiOrderWitness:
-    if not r.is_square:
-        raise DimensionMismatch("quasi-order test needs a square matrix")
-    n = r.rows
-    reflexive = all(r.entries[i * n + i] == ONE for i in range(n))
-    transitive = leq(compose(r, r), r)
-    symmetric = r == transpose(r)
-    return QuasiOrderWitness(r, reflexive, transitive, symmetric)
+def is_quasi_order(r: FuzzyMatrix) -> bool:
+    """Whether the square relation r is reflexive and transitive (r o r <= r)."""
+    try:
+        _quasi_order_levels(r)
+    except NotQuasiOrder:
+        return False
+    return True
 
 
 def is_fuzzy_equivalence(r: FuzzyMatrix) -> bool:
-    w = is_quasi_order(r)
-    return w.is_quasi_order and w.symmetric
+    return is_quasi_order(r) and r == transpose(r)
 
 
 def is_fuzzy_order(r: FuzzyMatrix) -> bool:
     """Quasi-order whose crisp part is antisymmetric."""
-    w = is_quasi_order(r)
-    if not w.is_quasi_order:
+    if not is_quasi_order(r):
         return False
     n = r.rows
     for i in range(n):
@@ -555,11 +537,19 @@ def is_fuzzy_order(r: FuzzyMatrix) -> bool:
 
 
 def require_quasi_order(r: FuzzyMatrix) -> FuzzyMatrix:
+    _quasi_order_levels(r)
+    return r
+
+
+def _quasi_order_levels(r: FuzzyMatrix) -> tuple[Codec, list]:
+    """The codec and levels of r, once r is checked to be a square
+    quasi-order: the one check behind `is_quasi_order`,
+    `require_quasi_order` and `aftersets`."""
     if not r.is_square:
         raise DimensionMismatch("quasi-order test needs a square matrix")
     codec, (levels,) = r.lattice.encode(r.entries)
     require_quasi_order_levels(codec, levels, r.rows)
-    return r
+    return codec, levels
 
 
 def require_quasi_order_levels(codec: Codec, r: list, n: int) -> None:
@@ -602,10 +592,7 @@ def crisp_part(r: FuzzyMatrix) -> FuzzyMatrix:
 def aftersets(r: FuzzyMatrix) -> list[tuple[int, FuzzyVector]]:
     """Distinct rows of a quasi-order, keyed by least realizing state index
     (see `afterset_reps`)."""
-    if not r.is_square:
-        raise DimensionMismatch("quasi-order test needs a square matrix")
-    codec, (levels,) = r.lattice.encode(r.entries)
-    require_quasi_order_levels(codec, levels, r.rows)
+    codec, levels = _quasi_order_levels(r)
     return [(i, r.row_vector(i)) for i in afterset_reps(codec, levels, r.rows)]
 
 

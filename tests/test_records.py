@@ -1,5 +1,5 @@
 """The value records: construction, checks, equality, hashing, immutability,
-repr and copying of all thirteen, the read-only carriers of matrices,
+repr and copying of all twelve, the read-only carriers of matrices,
 vectors and transition maps, and the modules `import fuzzaut.cli` loads."""
 
 import copy
@@ -27,7 +27,6 @@ from fuzzaut import (
     Lattice,
     LatticeMismatch,
     LatticeValueError,
-    QuasiOrderWitness,
     ReductionReport,
     ValidationError,
     greatest_invariant,
@@ -39,7 +38,7 @@ M1 = FuzzyMatrix(BOOL, 1, 1, (F(1),))
 V1 = FuzzyVector(BOOL, (F(1),))
 AUT = FuzzyAutomaton(BOOL, ("p",), ("x",), {"x": M1})
 REC = FuzzyRecognizer(AUT, V1, V1)
-REPORT = ReductionReport("ri", 1, True, M1, REC, (1, 1), M1)
+REPORT = ReductionReport("ri", 1, True, M1, REC)
 
 
 def args_of(cls):
@@ -48,17 +47,14 @@ def args_of(cls):
         Lattice: (("kind", "n"), ("chain", 4)),
         FuzzyVector: (("lattice", "entries"), (BOOL, (F(1), F(0)))),
         FuzzyMatrix: (("lattice", "rows", "cols", "entries"), (BOOL, 1, 2, (F(0), F(1)))),
-        QuasiOrderWitness: (("matrix", "reflexive", "transitive", "symmetric"),
-                            (M1, True, True, True)),
         FuzzyAutomaton: (("lattice", "states", "alphabet", "delta"),
                          (BOOL, ("p",), ("x",), {"x": M1})),
         FuzzyRecognizer: (("automaton", "sigma", "tau"), (AUT, V1, V1)),
-        FuzzyStateFamily: (("direction", "members", "complete", "truncated"),
-                           ("forward", (((), V1),), True, False)),
+        FuzzyStateFamily: (("direction", "members", "truncated"),
+                           ("forward", (((), V1),), False)),
         Method: (("side", "kernel", "source", "crisp"), ("left", "biresiduum", "weak", True)),
-        ReductionReport: (("method", "iterates", "converged", "quasi_order", "quotient",
-                           "state_trace", "iterate_infimum"),
-                          ("ri", 1, True, M1, REC, (1, 1), M1)),
+        ReductionReport: (("method", "iterates", "converged", "quasi_order", "quotient"),
+                          ("ri", 1, True, M1, REC)),
         AlternateReduction: (("schedule", "reports", "reduct", "state_trace", "stop_reason"),
                              ("rl", (REPORT,), REC, (1,), "single_state")),
         ComposedRecognizer: (("recognizer", "left_states", "right_states", "shared_alphabet",
@@ -69,9 +65,9 @@ def args_of(cls):
     }[cls]
 
 
-RECORDS = [Lattice, FuzzyVector, FuzzyMatrix, QuasiOrderWitness, FuzzyAutomaton,
-           FuzzyRecognizer, FuzzyStateFamily, Method, ReductionReport, AlternateReduction,
-           ComposedRecognizer, BlockingVerdict, EquivalenceVerdict]
+RECORDS = [Lattice, FuzzyVector, FuzzyMatrix, FuzzyAutomaton, FuzzyRecognizer, FuzzyStateFamily,
+           Method, ReductionReport, AlternateReduction, ComposedRecognizer, BlockingVerdict,
+           EquivalenceVerdict]
 
 
 def _hashable(value):
@@ -176,6 +172,22 @@ def test_defaults_and_literal_reprs():
             == "BlockingVerdict(verdict='nonblocking', witness=None)")
     assert repr(M1) == ("FuzzyMatrix(lattice=Lattice(kind='boolean', n=None), rows=1, cols=1, "
                         "entries=(Fraction(1, 1),))")
+
+
+def test_derived_attributes_follow_the_fields():
+    # the last iterate is the infimum of the descending iterates, the state
+    # trace is read off the relation and the quotient, and a family is
+    # complete exactly when no cap truncated it
+    ones = FuzzyVector(BOOL, (F(1), F(1)))
+    merged = greatest_invariant(FuzzyRecognizer(
+        FuzzyAutomaton(BOOL, ("p", "q"), ("x",), {"x": FuzzyMatrix(BOOL, 2, 2, (F(1),) * 4)}),
+        ones, ones), "ri")
+    for report in (REPORT, merged):
+        assert report.iterate_infimum is report.quasi_order
+    assert REPORT.state_trace == (1, 1) and merged.state_trace == (2, 1)
+    for truncated in (True, False):
+        family = FuzzyStateFamily("forward", (((), V1),), truncated)
+        assert family.complete is not truncated
 
 
 @pytest.mark.parametrize("build, error", [

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fuzzaut.relation
 from fuzzaut import (
     DimensionMismatch,
     FuzzyMatrix,
@@ -171,12 +172,24 @@ class TestTransitiveClosure:
 
 class TestPredicates:
     def test_worked_example_is_quasi_order(self):
-        w = is_quasi_order(worked_quasi_order())
-        assert w.is_quasi_order and not w.symmetric
+        r = worked_quasi_order()
+        assert is_quasi_order(r) is True and not is_fuzzy_equivalence(r)
+
+    @pytest.mark.parametrize("rows", [[[0, 1], [1, 0]], [[1, 1], [0, 0]], [[1, 0], [1, 1]]])
+    def test_answer_is_a_bool(self, rows):
+        # the Goedel swap is neither reflexive nor transitive; the second
+        # relation is transitive only; the third is a quasi-order
+        r = mat(GODEL, rows)
+        assert is_quasi_order(r) is (rows[0][0] == rows[1][1] == 1)
+        assert is_fuzzy_equivalence(r) is False
+
+    def test_no_witness_record(self):
+        assert not hasattr(fuzzaut, "QuasiOrderWitness")
+        assert not hasattr(fuzzaut.relation, "QuasiOrderWitness")
 
     def test_invariant_result_is_quasi_order_not_order(self):
         r = greatest_invariant(automaton_ri_beats_rie(), "ri").quasi_order
-        assert is_quasi_order(r).is_quasi_order
+        assert is_quasi_order(r)
         assert not is_fuzzy_order(r)
 
     def test_identity_is_order(self):
@@ -229,7 +242,7 @@ class TestFromFuzzySet:
     def test_always_quasi_orders(self, st_vec):
         f = st_vec.row_vector(0)
         for r in (from_fuzzy_set_right(f), from_fuzzy_set_left(f)):
-            assert is_quasi_order(r).is_quasi_order
+            assert is_quasi_order(r)
 
 
 class TestCrispPart:

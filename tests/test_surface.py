@@ -1,5 +1,6 @@
 """The library's surface: the names the traced benchmark rebinds resolve,
-and no module, test or script imports a name it never uses."""
+no module, test or script imports a name it never uses, every predicate
+answers with a bool, and every public count refuses what is not an int."""
 
 import ast
 import importlib.util
@@ -9,6 +10,25 @@ import pytest
 
 import fuzzaut
 import fuzzaut.cli  # noqa: F401  (the traced benchmark wraps cli.load/save/main)
+from fuzzaut import (
+    FuzzyAutomaton,
+    FuzzyMatrix,
+    FuzzyRecognizer,
+    FuzzyVector,
+    Lattice,
+    LatticeValueError,
+    ValidationError,
+    alternate_reduce,
+    are_isomorphic,
+    check_blocking,
+    crisp_quasi_orders,
+    greatest_invariant,
+    languages_equal_up_to,
+    prefix_closure_at,
+    reachable_state_family,
+    words_up_to,
+)
+from fuzzaut.des import bounded_reach_matrix
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "fuzzaut"
@@ -81,3 +101,61 @@ SCANNED |= {f"{d}/{p.name}": p for d in ("tests", "scripts") for p in (ROOT / d)
 @pytest.mark.parametrize("path", sorted(SCANNED))
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(SCANNED[path].read_text(encoding="utf-8")) == []
+
+
+def non_bool_predicates(source: str) -> list[str]:
+    """The top-level `def is_*` of a module not annotated `-> bool`."""
+    return [
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("is_")
+        and not (isinstance(node.returns, ast.Name) and node.returns.id == "bool")
+    ]
+
+
+def test_the_scan_sees_a_predicate_that_is_not_a_bool():
+    source = "def is_a(r) -> bool: ...\ndef is_b(r) -> Witness: ...\ndef is_c(r): ...\n"
+    source += "def a_is(r) -> int: ...\nclass K:\n    def is_d(self) -> int: ...\n"
+    assert non_bool_predicates(source) == ["is_b", "is_c"]
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_every_predicate_answers_with_a_bool(name):
+    assert non_bool_predicates((PACKAGE / name).read_text(encoding="utf-8")) == []
+
+
+# ---------------------------------------------------------------------------
+# counts
+
+BOOL = Lattice.boolean()
+_ONE = FuzzyMatrix(BOOL, 1, 1, (BOOL.one,))
+_V = FuzzyVector(BOOL, (BOOL.one,))
+REC = FuzzyRecognizer(FuzzyAutomaton(BOOL, ("p",), ("x",), {"x": _ONE}), _V, _V)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: reachable_state_family(REC, "forward", max_depth=2.5),
+    lambda: reachable_state_family(REC, "forward", max_states=True),
+    lambda: alternate_reduce(REC, "rl", max_rounds=1.5),
+    lambda: bounded_reach_matrix(REC, 2.5),
+    lambda: prefix_closure_at(REC, (0,), 1.5),
+    lambda: languages_equal_up_to(REC, REC, 2.5),
+    lambda: languages_equal_up_to(REC, REC, None),
+    lambda: greatest_invariant(REC, "ri", max_iter=2.5),
+    lambda: greatest_invariant(REC, "ri", max_iter=True),
+    lambda: check_blocking(REC, 2.5),
+    lambda: are_isomorphic(REC, REC, max_states=1.5),
+    lambda: list(words_up_to(2, 1.5)),
+    lambda: crisp_quasi_orders(BOOL, 2.5),
+], ids=["family-depth", "family-states-bool", "alternate-rounds", "reach-horizon",
+        "prefix-horizon", "equiv-float", "equiv-none", "max-iter-float", "max-iter-bool",
+        "blocking-horizon", "isomorphism-cap", "words-length", "crisp-quasi-orders"])
+def test_every_public_count_refuses_a_non_integer(call):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        call()
+
+
+def test_parse_refuses_a_non_string():
+    with pytest.raises(LatticeValueError, match="expected a string"):
+        Lattice.godel().parse(5)
